@@ -6,8 +6,10 @@ shared by the criteria that read from it; the final rail test pins its
 wall-clock budget.
 """
 
+import gzip
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from zdgenus.graphs import (
 from zdgenus.rings import RingTable
 
 BUDGET = 10**8
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.jsonl.gz"
 SWEEP_TIME_LIMIT_S = 1800.0
 FORMULA_TIME_LIMIT_S = 60.0
 
@@ -218,3 +221,13 @@ def test_full_sweep_passes_within_time_budget(sweep):
     for tid, rs in reports.items():
         assert rs, tid
         assert _clean(rs), tid
+
+
+def test_sweep_reports_match_golden(sweep):
+    """Every report, detail text included, is byte-identical to the
+    recorded golden run; a deliberate change to report text regenerates
+    tests/golden/verify.jsonl.gz."""
+    reports, _ = sweep
+    observed = [r.to_json() for rs in reports.values() for r in rs]
+    expected = gzip.decompress(GOLDEN_VERIFY.read_bytes()).decode()
+    assert observed == expected.splitlines()

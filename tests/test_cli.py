@@ -6,8 +6,11 @@ exit codes, and any files the command writes.
 
 import csv
 import json
+from pathlib import Path
 
 from zdgenus.cli import main
+
+GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas_order27.csv"
 
 
 def run(capsys, *argv):
@@ -158,3 +161,9 @@ def test_atlas_is_deterministic(capsys, tmp_path):
     assert rows[0]["ring"] == "Z_4"
     assert {"genus_lower", "genus_upper", "clique"} <= set(rows[0])
     assert all(row["genus_upper"] != "" for row in rows)
+
+
+def test_atlas_matches_golden(capsys):
+    code, out, _ = run(capsys, "atlas", "--max-order", "27")
+    assert code == 0
+    assert out == GOLDEN_ATLAS.read_text(encoding="utf-8")
