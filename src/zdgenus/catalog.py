@@ -18,12 +18,14 @@ Tags group entries for the classification sweeps:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from sympy import isprime
 
 from .errors import InvalidSpec
+from .ideals import IdealSet, enumerate_ideals
 from .rings import RingSpec, RingTable, build_ring, gf, product, quotient_algebra, zmod
 
 
@@ -262,3 +264,15 @@ def find_catalog(name: str) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def catalog_ring(name: str) -> RingTable:
     return build_ring(find_catalog(name).spec)
+
+
+def catalog_pairs(max_order: int) -> Iterator[tuple[str, RingTable, IdealSet]]:
+    """Every catalog ring of order at most max_order with each of its proper
+    nonzero ideals, in catalog order and then ideal enumeration order."""
+    for e in catalog_entries():
+        table = catalog_ring(e.name)
+        if table.order > max_order:
+            continue
+        for ideal in enumerate_ideals(table):
+            if not ideal.is_whole() and ideal.size > 1:
+                yield e.name, table, ideal

@@ -18,9 +18,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .catalog import catalog_entries, catalog_ring
-from .errors import CliqueHypothesisViolated
+from .catalog import catalog_entries, catalog_pairs, catalog_ring
+from .errors import CliqueHypothesisViolated, ZdgenusError
 from .genus import (
+    GenusBounds,
     euler_lower_bound,
     exact_genus,
     is_planar,
@@ -36,6 +37,7 @@ from .graphs import (
     find_complete_subgraph,
     girth,
     ideal_zero_divisor_graph,
+    invariants,
     is_connected,
     make_graph,
     zero_divisor_graph,
@@ -49,6 +51,7 @@ from .ideals import (
     quotient,
 )
 from .rings import (
+    MAX_ORDER,
     RingTable,
     build_ring,
     is_local,
@@ -56,6 +59,7 @@ from .rings import (
     product_tables,
     quotient_algebra,
     units,
+    zero_divisors,
     zmod,
 )
 
@@ -133,22 +137,14 @@ def synthesize(target: RingTable, size: int) -> tuple[RingTable, IdealSet]:
     """Smallest ring realizing the quotient target at the given ideal size:
     the product target x Z_size with the ideal 0 x Z_size."""
     table = product_tables(target, _zt(size))
-    assert table.zero == 0
+    if table.zero != 0:
+        raise ZdgenusError(f"{table.name} has its zero at {table.zero}, not 0")
     return table, IdealSet(table, (1 << size) - 1)
 
 
 def _graph_of(target_name: str, size: int) -> tuple[SimpleGraph, str]:
     table, ideal = synthesize(catalog_ring(target_name), size)
     return ideal_zero_divisor_graph(table, ideal), table.name
-
-
-def _facts(g: SimpleGraph) -> dict:
-    return {
-        "graph_order": g.n,
-        "diameter": diameter(g),
-        "girth": girth(g),
-        "clique": clique_number(g) if g.n <= 60 else -1,
-    }
 
 
 def _report(
@@ -178,8 +174,16 @@ def _report(
         agreement=(verdict == fact) and not inconclusive,
         inconclusive=inconclusive,
         detail=detail,
-        **_facts(g),
+        graph_order=g.n,
+        **invariants(g),
     )
+
+
+def _genus_fields(b: GenusBounds) -> dict:
+    """_report's genus fields from exact_genus bounds: open when the search
+    left the upper bound unknown."""
+    return {"lower": b.lower, "upper": b.upper,
+            "inconclusive": b.upper is None}
 
 
 def _lower_bound_ge2(g: SimpleGraph, budget: int) -> tuple[int | None, str]:
@@ -201,18 +205,19 @@ def _lower_bound_ge2(g: SimpleGraph, budget: int) -> tuple[int | None, str]:
     return b.upper, "exact genus " + str(b.upper)
 
 
-def _nonunits(t: RingTable) -> list[int]:
-    us = {u.index for u in units(t)}
-    return [a for a in range(t.order) if a not in us]
-
-
-def _msq_zero(t: RingTable) -> bool:
-    nu = _nonunits(t)
-    return all(int(t.mul[a, b]) == t.zero for a in nu for b in nu)
-
-
-def _residue_size(t: RingTable) -> int:
-    return t.order // len(_nonunits(t)) if is_local(t) else 0
+def _lower_bound_report(
+    theorem: TheoremId, ring: str, ideal: str, ideal_size: int,
+    quotient_name: str, g: SimpleGraph, budget: int, detail: str,
+    verdict: bool = True, claims_ge2: bool = True,
+) -> ClassificationReport:
+    """Report on the claim that g has genus at least 2 (claims_ge2) or at
+    most 1 (not claims_ge2), observed through _lower_bound_ge2; the bound's
+    provenance is appended to detail.  Open when no bound is certified."""
+    lo, prov = _lower_bound_ge2(g, budget)
+    ge2 = lo is not None and lo >= 2
+    return _report(theorem, ring, ideal, ideal_size, quotient_name, g,
+                   verdict, ge2 == claims_ge2, detail + prov, lo, None,
+                   lo is None)
 
 
 def _zero_ideal(t: RingTable) -> IdealSet:
@@ -343,11 +348,7 @@ def _square_zero_universal_witness(t: RingTable):
     g = zero_divisor_graph(t)
     if g.n != 7:
         return
-    elems = sorted(
-        x for x in range(t.order)
-        if x != t.zero and any(
-            int(t.mul[x, y]) == t.zero for y in range(t.order) if y != t.zero)
-    )
+    elems = zero_divisors(t)
     sq0 = [j for j, x in enumerate(elems) if int(t.mul[x, x]) == t.zero]
     for ju in sq0:
         if g.degree(ju) != g.n - 1:
@@ -416,28 +417,45 @@ def _pair_sweep() -> tuple[_PairFacts, ...]:
     """Every catalog ring with every proper nonzero ideal, with the quotient
     identified against the catalog and both graphs built."""
     out = []
-    for entry in catalog_entries():
-        table = catalog_ring(entry.name)
-        for ideal in enumerate_ideals(table):
-            if ideal.is_whole() or ideal.size == 1:
-                continue
-            q = quotient(table, ideal)
-            out.append(_PairFacts(
-                ring=entry.name,
-                ideal=ideal.describe(),
-                size=ideal.size,
-                prime=is_prime(ideal),
-                radical=is_radical(ideal),
-                quotient_table=q.table,
-                quotient_name=_match_catalog(q.table),
-                quotient_graph=zero_divisor_graph(q.table),
-                graph=ideal_zero_divisor_graph(table, ideal),
-            ))
+    for name, table, ideal in catalog_pairs(MAX_ORDER):
+        q = quotient(table, ideal)
+        out.append(_PairFacts(
+            ring=name,
+            ideal=ideal.describe(),
+            size=ideal.size,
+            prime=is_prime(ideal),
+            radical=is_radical(ideal),
+            quotient_table=q.table,
+            quotient_name=_match_catalog(q.table),
+            quotient_graph=zero_divisor_graph(q.table),
+            graph=ideal_zero_divisor_graph(table, ideal),
+        ))
     return tuple(out)
 
 
-def _locals() -> list[str]:
-    return [e.name for e in catalog_entries() if is_local(catalog_ring(e.name))]
+@dataclass(frozen=True)
+class _LocalRing:
+    name: str
+    table: RingTable
+    graph: SimpleGraph  # zero-divisor graph
+    residue: int  # size of the residue field
+    msq_zero: bool  # whether the maximal ideal squares to zero
+
+
+@lru_cache(maxsize=1)
+def _locals() -> tuple[_LocalRing, ...]:
+    """Every local catalog ring with the facts the local sweeps read."""
+    out = []
+    for entry in catalog_entries():
+        t = catalog_ring(entry.name)
+        if not is_local(t):
+            continue
+        us = {u.index for u in units(t)}
+        nu = [a for a in range(t.order) if a not in us]
+        out.append(_LocalRing(
+            entry.name, t, zero_divisor_graph(t), t.order // len(nu),
+            all(int(t.mul[a, b]) == t.zero for a in nu for b in nu)))
+    return tuple(out)
 
 
 # === Per-theorem instance builders ==========================================
@@ -489,11 +507,11 @@ def _genus_one_positive(
     name: str,
     size: int,
     budget: int,
+    verdict: bool,
     require_exact_one: bool,
 ) -> ClassificationReport:
     g, ring_name = _graph_of(name, size)
     b = exact_genus(g, budget)
-    inconclusive = b.upper is None
     if require_exact_one:
         fact = (b.lower, b.upper) == (1, 1)
         claim = "genus exactly 1"
@@ -503,9 +521,8 @@ def _genus_one_positive(
     detail = f"{claim}; " + "; ".join(b.provenance)
     if b.certificate is not None:
         detail += f"; certificate with {b.certificate.faces} faces"
-    return _report(
-        tid, ring_name, f"0×Z_{size}", size, name, g,
-        True, fact, detail, b.lower, b.upper, inconclusive)
+    return _report(tid, ring_name, f"0×Z_{size}", size, name, g,
+                   verdict, fact, detail, **_genus_fields(b))
 
 
 def _genus_one_negative(
@@ -513,48 +530,44 @@ def _genus_one_negative(
     name: str,
     size: int,
     budget: int,
-    verdict: bool = False,
+    verdict: bool,
 ) -> ClassificationReport:
     g, ring_name = _graph_of(name, size)
-    lo, prov = _lower_bound_ge2(g, budget)
-    inconclusive = lo is None
-    fact = bool(lo is not None and lo >= 2)
-    return _report(
-        tid, ring_name, f"0×Z_{size}", size, name, g,
-        verdict, not fact if not inconclusive else True,
-        f"lower bound via {prov}", lo, None, inconclusive)
+    return _lower_bound_report(tid, ring_name, f"0×Z_{size}", size, name, g,
+                               budget, "lower bound via ", verdict,
+                               claims_ge2=False)
 
 
 def _verify_genus_one_clique_le2(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GENUS_ONE_CLIQUE_LE2
+    predicate = genus_one_clique_le2_predicate
     out = []
     for name, cap in _CLIQUE_LE2_CASES + _Z2_FIELD_CASES:
         target = catalog_ring(name)
         for size in range(2, cap + 1):
-            assert genus_one_clique_le2_predicate(target, size)
             exact_one = size == cap and name in _EXACT_ONE_AT_CAP
-            out.append(_genus_one_positive(tid, name, size, budget, exact_one))
-        assert not genus_one_clique_le2_predicate(target, cap + 1)
-        out.append(_genus_one_negative(tid, name, cap + 1, budget))
+            out.append(_genus_one_positive(
+                tid, name, size, budget, predicate(target, size), exact_one))
+        out.append(_genus_one_negative(
+            tid, name, cap + 1, budget, predicate(target, cap + 1)))
     # non-listed quotient of matching clique number: genus must exceed 1
-    control = catalog_ring("Z_12")
-    assert not genus_one_clique_le2_predicate(control, 2)
-    out.append(_genus_one_negative(tid, "Z_12", 2, budget))
+    out.append(_genus_one_negative(
+        tid, "Z_12", 2, budget, predicate(catalog_ring("Z_12"), 2)))
     return out
 
 
 def _verify_genus_one_clique3(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GENUS_ONE_CLIQUE3
+    predicate = genus_one_clique3_predicate
     out = []
     for name in _CLIQUE3_TARGETS:
         target = catalog_ring(name)
-        assert genus_one_clique3_predicate(target, 2)
-        out.append(_genus_one_positive(tid, name, 2, budget, True))
-        assert not genus_one_clique3_predicate(target, 3)
-        out.append(_genus_one_negative(tid, name, 3, budget))
-    control = catalog_ring("Z_2×Z_9")
-    assert not genus_one_clique3_predicate(control, 2)
-    out.append(_genus_one_negative(tid, "Z_2×Z_9", 2, budget))
+        out.append(_genus_one_positive(
+            tid, name, 2, budget, predicate(target, 2), True))
+        out.append(_genus_one_negative(
+            tid, name, 3, budget, predicate(target, 3)))
+    out.append(_genus_one_negative(
+        tid, "Z_2×Z_9", 2, budget, predicate(catalog_ring("Z_2×Z_9"), 2)))
     return out
 
 
@@ -569,24 +582,17 @@ def _verify_genus_ge2(budget: int) -> list[ClassificationReport]:
         if 2 * target.order > 64:
             continue  # no ring of order <= 64 realizes this quotient at size 2
         g, ring_name = _graph_of(entry.name, 2)
-        lo, prov = _lower_bound_ge2(g, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
-            tid, ring_name, "0×Z_2", 2, entry.name, g,
-            True, fact, f"lower bound via {prov}", lo, None, inconclusive))
+        out.append(_lower_bound_report(
+            tid, ring_name, "0×Z_2", 2, entry.name, g, budget,
+            "lower bound via "))
     for pf in _pair_sweep():
         if pf.quotient_graph.n == 0:
             continue
         if not genus_ge2_predicate(pf.quotient_table):
             continue
-        lo, prov = _lower_bound_ge2(pf.graph, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
+        out.append(_lower_bound_report(
             tid, pf.ring, pf.ideal, pf.size, pf.quotient_name, pf.graph,
-            True, fact, f"catalog pair; lower bound via {prov}",
-            lo, None, inconclusive))
+            budget, "catalog pair; lower bound via "))
     return out
 
 
@@ -610,13 +616,12 @@ def _verify_expansion_bounds(budget: int) -> list[ClassificationReport]:
         g = expand(base, t)
         sb, prov = subgraph_lower_bound(g)
         b = exact_genus(g, budget)
-        inconclusive = b.upper is None
         fact = sb >= 2 and b.lower >= 2 and b.upper == expected
         out.append(_report(
             tid, f"{name}^({t})", "-", 0, "-", g, True, fact,
             f"subgraph {prov} gives {sb}; exact genus "
             f"[{b.lower},{b.upper}] expected {expected}",
-            b.lower, b.upper, inconclusive))
+            **_genus_fields(b)))
     return out
 
 
@@ -694,49 +699,40 @@ def _verify_clique_minimal_primes(budget: int) -> list[ClassificationReport]:
 def _verify_local_order_power(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.LOCAL_ORDER_POWER
     out = []
-    for name in _locals():
-        table = catalog_ring(name)
-        res = _residue_size(table)
+    for lr in _locals():
+        order, res = lr.table.order, lr.residue
         power = res
-        while power < table.order:
+        while power < order:
             power *= res
-        fact = power == table.order
         out.append(_report(
-            tid, name, "-", 0, "-", zero_divisor_graph(table), True, fact,
-            f"order {table.order}, residue field size {res}"))
+            tid, lr.name, "-", 0, "-", lr.graph, True, power == order,
+            f"order {order}, residue field size {res}"))
     return out
 
 
 def _verify_expansion_ge2_big_residue(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.EXPANSION_GE2_BIG_RESIDUE
     out = []
-    for name in _locals():
-        table = catalog_ring(name)
-        if _msq_zero(table) or _residue_size(table) < 3:
+    for lr in _locals():
+        if lr.msq_zero or lr.residue < 3:
             continue
-        g = expand(zero_divisor_graph(table), 2)
-        lo, prov = _lower_bound_ge2(g, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
-            tid, name, "-", 0, "-", g, True, fact,
-            f"doubled graph lower bound via {prov}", lo, None, inconclusive))
+        out.append(_lower_bound_report(
+            tid, lr.name, "-", 0, "-", expand(lr.graph, 2), budget,
+            "doubled graph lower bound via "))
     return out
 
 
 def _verify_acyclic_residue_two(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.ACYCLIC_RESIDUE_TWO
     out = []
-    for name in _locals():
-        table = catalog_ring(name)
-        g = zero_divisor_graph(table)
-        if g.n == 0 or _msq_zero(table) or girth(g) != INF:
+    for lr in _locals():
+        g = lr.graph
+        if g.n == 0 or lr.msq_zero or girth(g) != INF:
             continue
-        res = _residue_size(table)
         out.append(_report(
-            tid, name, "-", 0, "-", g, True, res == 2,
+            tid, lr.name, "-", 0, "-", g, True, lr.residue == 2,
             f"acyclic graph, nonzero square of the maximal ideal, "
-            f"residue field size {res}"))
+            f"residue field size {lr.residue}"))
     return out
 
 
@@ -744,12 +740,11 @@ def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.Z2_PRODUCT_GRAPHS
     out = []
     z2 = _zt(2)
-    for name in _locals():
-        s = catalog_ring(name)
-        if 2 * s.order > 64:
+    for lr in _locals():
+        if 2 * lr.table.order > 64:
             continue  # product would exceed the supported ring order
-        gs = zero_divisor_graph(s)
-        table = product_tables(z2, s)
+        gs = lr.graph
+        table = product_tables(z2, lr.table)
         g = zero_divisor_graph(table)
         if gs.n <= 1:
             fact = is_planar(g) and girth(g) == INF
@@ -761,7 +756,7 @@ def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
             detail = (f"large factor graph ({gs.n} vertices): triangle "
                       f"{k3} and K_{{2,3}} {k23}")
         out.append(_report(
-            tid, table.name, "-", 0, name, g, True, fact, detail))
+            tid, table.name, "-", 0, lr.name, g, True, fact, detail))
     return out
 
 
@@ -779,25 +774,19 @@ def _verify_triple_product_genus(budget: int) -> list[ClassificationReport]:
     cube = catalog_ring("Z_2×Z_2×Z_2")
     g = expand(zero_divisor_graph(cube), 2)
     b = exact_genus(g, budget)
-    inconclusive = b.upper is None
-    fact = b.upper is not None and b.upper <= 1
     out.append(_report(
-        tid, "Z_2×Z_2×Z_2", "-", 0, "-", g, True, fact,
-        f"doubled graph genus [{b.lower},{b.upper}]",
-        b.lower, b.upper, inconclusive))
+        tid, "Z_2×Z_2×Z_2", "-", 0, "-", g, True,
+        b.upper is not None and b.upper <= 1,
+        f"doubled graph genus [{b.lower},{b.upper}]", **_genus_fields(b)))
     for factors in _TRIPLE_NEGATIVE_FACTORS:
         table = catalog_ring(factors[0])
         for f in factors[1:]:
             table = product_tables(table, catalog_ring(f))
         name = "×".join(factors)
         g = expand(zero_divisor_graph(table), 2)
-        lo, prov = _lower_bound_ge2(g, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
-            tid, name, "-", 0, "-", g, False,
-            not fact if not inconclusive else True,
-            f"doubled graph lower bound via {prov}", lo, None, inconclusive))
+        out.append(_lower_bound_report(
+            tid, name, "-", 0, "-", g, budget,
+            "doubled graph lower bound via ", False, claims_ge2=False))
     return out
 
 
@@ -813,20 +802,19 @@ def _verify_triangle_graph_rings(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.TRIANGLE_GRAPH_RINGS
     out = []
     listed_tables = [catalog_ring(n) for n in _TRIANGLE_RINGS]
-    for name in _locals():
-        table = catalog_ring(name)
-        g = zero_divisor_graph(table)
+    for lr in _locals():
+        g = lr.graph
         is_triangle = g.n == 3 and g.m == 3
         listed = any(
-            table.order == lt.order and iso_check(table, lt)
+            lr.table.order == lt.order and iso_check(lr.table, lt)
             for lt in listed_tables)
         if not (is_triangle or listed):
             continue
-        fact = is_triangle and listed and _msq_zero(table)
+        fact = is_triangle and listed and lr.msq_zero
         out.append(_report(
-            tid, name, "-", 0, "-", g, True, fact,
+            tid, lr.name, "-", 0, "-", g, True, fact,
             f"triangle graph {is_triangle}; listed {listed}; "
-            f"square-zero maximal ideal {_msq_zero(table)}"))
+            f"square-zero maximal ideal {lr.msq_zero}"))
     return out
 
 
@@ -847,12 +835,11 @@ def _verify_attached_k4_graph(budget: int) -> list[ClassificationReport]:
     h, quad = attached_k4_graph()
     kb = k4_attachment_bound(h, quad)
     b = exact_genus(h, budget)
-    inconclusive = b.upper is None
-    fact = kb >= 2 and b.lower >= 2
     out.append(_report(
-        tid, "attachment graph", "-", 0, "-", h, True, fact,
+        tid, "attachment graph", "-", 0, "-", h, True,
+        kb >= 2 and b.lower >= 2,
         f"attachment bound {kb}; exact genus [{b.lower},{b.upper}]",
-        b.lower, b.upper, inconclusive))
+        **_genus_fields(b)))
     for name in _GENUS_TWO_TARGETS:
         target = catalog_ring(name)
         found = _h_embedding(target)
@@ -883,53 +870,40 @@ def _extra_genus_two_local() -> RingTable:
 def _verify_quotient_genus2_lift(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.QUOTIENT_GENUS2_LIFT
     out = []
-    targets: list[RingTable] = []
-    for entry in catalog_entries():
-        table = catalog_ring(entry.name)
-        gq = zero_divisor_graph(table)
-        if gq.n == 0 or 2 * table.order > 64:
+    catalog_tables = [catalog_ring(e.name) for e in catalog_entries()]
+    for target in catalog_tables + [_extra_genus_two_local()]:
+        if 2 * target.order > 64:
             continue
-        lo = max(euler_lower_bound(gq), subgraph_lower_bound(gq)[0])
-        if lo >= 2:
-            targets.append(table)
-    targets.append(_extra_genus_two_local())
-    for target in targets:
         gq = zero_divisor_graph(target)
+        if gq.n == 0:
+            continue
         qlo = max(euler_lower_bound(gq), subgraph_lower_bound(gq)[0])
+        if qlo < 2:
+            continue
         table, ideal = synthesize(target, 2)
-        g = ideal_zero_divisor_graph(table, ideal)
-        lo, prov = _lower_bound_ge2(g, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
-            tid, table.name, "0×Z_2", 2, _match_catalog(target), g,
-            True, fact,
-            f"quotient graph lower bound {qlo}; lifted lower bound via {prov}",
-            lo, None, inconclusive))
+        out.append(_lower_bound_report(
+            tid, table.name, "0×Z_2", 2, _match_catalog(target),
+            ideal_zero_divisor_graph(table, ideal), budget,
+            f"quotient graph lower bound {qlo}; lifted lower bound via "))
     return out
 
 
 def _verify_genus_one_residue2_lift(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GENUS_ONE_RESIDUE2_LIFT
     out = []
-    for name in _locals():
-        table = catalog_ring(name)
-        if _residue_size(table) != 2 or 2 * table.order > 64:
+    for lr in _locals():
+        if lr.residue != 2 or 2 * lr.table.order > 64:
             continue
-        gq = zero_divisor_graph(table)
+        gq = lr.graph
         if gq.n == 0 or gq.m > 40 or is_planar(gq):
             continue
         bq = exact_genus(gq, budget)
         if (bq.lower, bq.upper) != (1, 1):
             continue
-        g, ring_name = _graph_of(name, 2)
-        lo, prov = _lower_bound_ge2(g, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
-            tid, ring_name, "0×Z_2", 2, name, g, True, fact,
-            f"quotient graph has genus exactly 1; lifted lower bound "
-            f"via {prov}", lo, None, inconclusive))
+        g, ring_name = _graph_of(lr.name, 2)
+        out.append(_lower_bound_report(
+            tid, ring_name, "0×Z_2", 2, lr.name, g, budget,
+            "quotient graph has genus exactly 1; lifted lower bound via "))
     return out
 
 
@@ -951,7 +925,6 @@ def _verify_genus_one_examples(budget: int) -> list[ClassificationReport]:
     for name, size, expect_k6 in _GENUS_ONE_EXAMPLES:
         g, ring_name = _graph_of(name, size)
         b = exact_genus(g, budget)
-        inconclusive = b.upper is None
         fact = (b.lower, b.upper) == (1, 1)
         detail = f"genus [{b.lower},{b.upper}]"
         if expect_k6:
@@ -960,7 +933,7 @@ def _verify_genus_one_examples(budget: int) -> list[ClassificationReport]:
             detail += f"; complete on 6 vertices {complete}"
         out.append(_report(
             tid, ring_name, f"0×Z_{size}", size, name, g, True, fact,
-            detail, b.lower, b.upper, inconclusive))
+            detail, **_genus_fields(b)))
     return out
 
 
@@ -969,12 +942,8 @@ def _verify_genus_two_examples(budget: int) -> list[ClassificationReport]:
     out = []
     for name in _GENUS_TWO_TARGETS:
         g, ring_name = _graph_of(name, 2)
-        lo, prov = _lower_bound_ge2(g, budget)
-        inconclusive = lo is None
-        fact = bool(lo is not None and lo >= 2)
-        out.append(_report(
-            tid, ring_name, "0×Z_2", 2, name, g, True, fact,
-            f"lower bound via {prov}", lo, None, inconclusive))
+        out.append(_lower_bound_report(
+            tid, ring_name, "0×Z_2", 2, name, g, budget, "lower bound via "))
     return out
 
 

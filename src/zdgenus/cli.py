@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ring, ideals, graph, genus, verify, atlas.  Output on stdout is
-deterministic; --timing writes elapsed times to stderr only.  Exit codes:
-0 success, 1 verification failure, 2 usage or input error, 3 inconclusive
-within budget.
+deterministic; --timing writes elapsed times to stderr only, one line per
+classification fact for verify.  Exit codes: 0 success, 1 verification
+failure, 2 usage or input error, 3 inconclusive within budget.
 """
 
 from __future__ import annotations
@@ -17,17 +17,15 @@ import sys
 import time
 from pathlib import Path
 
-from .catalog import catalog_entries, catalog_ring, find_catalog
-from .classify import INF, TheoremId, verify, verify_all
+from .catalog import catalog_pairs, catalog_ring, find_catalog
+from .classify import INF, TheoremId, verify
 from .errors import InvalidSpec, ZdgenusError
 from .genus import certificate_to_json, exact_genus
 from .graphs import (
-    clique_number,
-    diameter,
     export_dot,
     export_json,
-    girth,
     ideal_zero_divisor_graph,
+    invariants,
 )
 from .ideals import (
     IdealSet,
@@ -37,7 +35,15 @@ from .ideals import (
     is_radical,
     quotient,
 )
-from .rings import RingTable, build_ring, is_local, product_tables, spec_from_json, units
+from .rings import (
+    RingTable,
+    build_ring,
+    is_local,
+    product_tables,
+    spec_from_json,
+    units,
+    zero_divisors,
+)
 
 MIN_BUDGET = 10**4
 
@@ -126,18 +132,14 @@ def _fmt(value) -> str:
 def cmd_ring(args) -> int:
     table = resolve_ring(args.ring)
     n_units = len(units(table))
-    zero_divisors = sum(
-        1 for a in range(table.order)
-        if any(int(table.mul[a, b]) == table.zero
-               for b in range(table.order) if b != table.zero)
-    )
+    n_zero_divisors = len(zero_divisors(table)) + 1  # the count includes 0
     local = is_local(table)
     if args.format == "json":
         print(json.dumps({
             "name": table.name,
             "order": table.order,
             "units": n_units,
-            "zero_divisors": zero_divisors,
+            "zero_divisors": n_zero_divisors,
             "local": local,
             "labels": list(table.labels),
         }, ensure_ascii=False))
@@ -145,7 +147,7 @@ def cmd_ring(args) -> int:
         print(f"ring: {table.name}")
         print(f"order: {table.order}")
         print(f"units: {n_units}")
-        print(f"zero-divisors: {zero_divisors}")
+        print(f"zero-divisors: {n_zero_divisors}")
         print(f"local: {'yes' if local else 'no'}")
         print("labels: " + " ".join(table.labels))
     return 0
@@ -177,13 +179,7 @@ def cmd_ideals(args) -> int:
 
 
 def _graph_summary(g) -> dict:
-    return {
-        "vertices": g.n,
-        "edges": g.m,
-        "diameter": diameter(g),
-        "girth": girth(g),
-        "clique": clique_number(g),
-    }
+    return {"vertices": g.n, "edges": g.m, **invariants(g)}
 
 
 def cmd_graph(args) -> int:
@@ -262,15 +258,10 @@ def _resolve_theorem(token: str) -> TheoremId:
 
 
 def cmd_verify(args) -> int:
-    if args.theorem.casefold() == "all":
-        t0 = time.monotonic()
-        results = verify_all(args.budget)
-        if args.timing:
-            print(f"verify all: {time.monotonic() - t0:.1f}s",
-                  file=sys.stderr)
-    else:
-        results = {_resolve_theorem(args.theorem): None}
-        tid = next(iter(results))
+    selected = (list(TheoremId) if args.theorem.casefold() == "all"
+                else [_resolve_theorem(args.theorem)])
+    results = {}
+    for tid in selected:
         t0 = time.monotonic()
         results[tid] = verify(tid, args.budget)
         if args.timing:
@@ -281,15 +272,14 @@ def cmd_verify(args) -> int:
     inconclusive = 0
     for tid, reports in results.items():
         bad = [r for r in reports if not r.agreement]
-        open_ = [r for r in reports if r.inconclusive]
-        failures += len([r for r in bad if not r.inconclusive])
+        open_ = [r for r in reports if r.inconclusive]  # a subset of bad
+        failed = len(bad) - len(open_)
+        failures += failed
         inconclusive += len(open_)
-        status = ("PASS" if not bad and not open_
-                  else "OPEN" if not [r for r in bad if not r.inconclusive]
-                  else "FAIL")
+        status = "FAIL" if failed else "OPEN" if open_ else "PASS"
         lines.append(
             f"{tid.value:<28} instances={len(reports):<4} "
-            f"fail={len(bad) - len(open_):<3} open={len(open_):<3} {status}")
+            f"fail={failed:<3} open={len(open_):<3} {status}")
         for r in bad:
             lines.append(f"  !! {r.ring} | {r.ideal} | verdict={r.verdict} "
                          f"fact={r.fact} | {r.detail}")
@@ -320,30 +310,25 @@ ATLAS_COLUMNS = (
 
 def atlas_rows(max_order: int, budget: int) -> list[dict]:
     rows = []
-    for entry in catalog_entries():
-        table = catalog_ring(entry.name)
-        if table.order > max_order:
-            continue
-        for ideal in enumerate_ideals(table):
-            if ideal.is_whole() or ideal.size == 1:
-                continue
-            g = ideal_zero_divisor_graph(table, ideal)
-            bounds = exact_genus(g, budget)
-            rows.append({
-                "ring": entry.name,
-                "ideal": ideal.describe(),
-                "ideal_size": ideal.size,
-                "prime": str(is_prime(ideal)).lower(),
-                "radical": str(is_radical(ideal)).lower(),
-                "quotient_order": quotient(table, ideal).table.order,
-                "vertices": g.n,
-                "edges": g.m,
-                "diameter": _fmt(diameter(g)),
-                "girth": _fmt(girth(g)),
-                "clique": clique_number(g),
-                "genus_lower": bounds.lower,
-                "genus_upper": "" if bounds.upper is None else bounds.upper,
-            })
+    for name, table, ideal in catalog_pairs(max_order):
+        g = ideal_zero_divisor_graph(table, ideal)
+        bounds = exact_genus(g, budget)
+        inv = invariants(g)
+        rows.append({
+            "ring": name,
+            "ideal": ideal.describe(),
+            "ideal_size": ideal.size,
+            "prime": str(is_prime(ideal)).lower(),
+            "radical": str(is_radical(ideal)).lower(),
+            "quotient_order": quotient(table, ideal).table.order,
+            "vertices": g.n,
+            "edges": g.m,
+            "diameter": _fmt(inv["diameter"]),
+            "girth": _fmt(inv["girth"]),
+            "clique": inv["clique"],
+            "genus_lower": bounds.lower,
+            "genus_upper": "" if bounds.upper is None else bounds.upper,
+        })
     return rows
 
 

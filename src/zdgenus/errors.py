@@ -46,12 +46,3 @@ class HypothesisNotMet(ZdgenusError):
 class CliqueHypothesisViolated(ZdgenusError):
     """A classification predicate was called outside its clique-number
     hypothesis."""
-
-
-class BudgetExceeded(ZdgenusError):
-    """The backtracking budget was exhausted before a conclusive answer."""
-
-    def __init__(self, message: str, lower: int, upper: int | None):
-        super().__init__(message)
-        self.lower = lower
-        self.upper = upper

@@ -20,7 +20,7 @@ from math import inf
 
 import networkx as nx
 
-from .errors import Disconnected, HypothesisNotMet, InvalidSpec
+from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
     SimpleGraph,
     connected_components,
@@ -502,7 +502,8 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
     if is_planar(g):
         rot = planar_rotation(g)
         faces, gen = face_trace(g, rot)
-        assert gen == 0
+        if gen != 0:
+            raise ZdgenusError(f"planar embedding traced to genus {gen}")
         return GenusBounds(0, 0, ("planar embedding",),
                            EmbeddingCertificate(rot, faces, 0))
     lb, prov = 1, ["nonplanar"]
@@ -528,13 +529,17 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
             if emb.search(target):
                 rot = emb.found
                 faces, gen = face_trace(g, rot)
-                assert gen == target, "embedding does not match search level"
+                if gen != target:
+                    raise ZdgenusError(f"embedding traced to genus {gen}, "
+                                       f"search level {target}")
                 prov.append(f"embedded at genus {target}")
                 return GenusBounds(target, target, tuple(prov),
                                    EmbeddingCertificate(rot, faces, gen))
             prov.append(f"search exhausted genus {target}")
             target += 1
-            assert target <= (g.m - g.n + 1) // 2
+            if target > (g.m - g.n + 1) // 2:
+                raise ZdgenusError(f"search passed the cycle-rank bound "
+                                   f"at genus {target}")
         except _OutOfBudget:
             return GenusBounds(target, None,
                                tuple(prov + ["budget exhausted"]), None)

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import InvalidSpec, MTooLarge, TooLarge, WholeRingIdeal
-from .rings import RingTable
+from .rings import RingTable, zero_divisors
 from .ideals import IdealSet, quotient
 
 
@@ -113,10 +113,6 @@ def complete_multipartite(*sizes: int) -> SimpleGraph:
     return make_graph(n, edges)
 
 
-def path_graph(k: int) -> SimpleGraph:
-    return make_graph(k, [(i, i + 1) for i in range(k - 1)])
-
-
 def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
     verts = list(vertices)
     pos = {v: i for i, v in enumerate(verts)}
@@ -140,18 +136,12 @@ def remove_vertices(g: SimpleGraph, vertices) -> SimpleGraph:
 
 def zero_divisor_graph(t: RingTable) -> SimpleGraph:
     """Vertices are the nonzero zero-divisors; edges join annihilating pairs."""
-    z = t.zero
-    verts = []
-    for x in range(t.order):
-        if x == z:
-            continue
-        if any(int(t.mul[x, y]) == z for y in range(t.order) if y != z):
-            verts.append(x)
+    verts = zero_divisors(t)
     pos = {x: i for i, x in enumerate(verts)}
     edges = [
         (pos[x], pos[y])
         for x, y in combinations(verts, 2)
-        if int(t.mul[x, y]) == z
+        if int(t.mul[x, y]) == t.zero
     ]
     return make_graph(len(verts), edges, tuple(t.labels[x] for x in verts))
 
@@ -293,6 +283,13 @@ def clique_number(g: SimpleGraph) -> int:
     return best
 
 
+def invariants(g: SimpleGraph) -> dict:
+    """Diameter, girth and clique number, as every report and atlas row
+    carries them."""
+    return {"diameter": diameter(g), "girth": girth(g),
+            "clique": clique_number(g)}
+
+
 def find_complete_subgraph(g: SimpleGraph, r: int):
     """Lexicographically least r-clique as a vertex list, or None."""
     if r == 0:
@@ -358,17 +355,6 @@ def export_json(g: SimpleGraph) -> str:
         "edges": [[u, v] for u, v in g.edges()],
     }
     return json.dumps(data, indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> SimpleGraph:
-    data = json.loads(text)
-    try:
-        n = data["n"]
-        labels = tuple(data["labels"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed graph JSON: {exc}") from exc
-    return make_graph(n, edges, labels)
 
 
 # === Isomorphism ============================================================

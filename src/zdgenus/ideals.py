@@ -8,12 +8,12 @@ principal ones.  All decision procedures are exhaustive; orders are <= 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRadical, WholeRingIdeal
-from .rings import RingElem, RingTable, _idx
+from .errors import NotRadical, WholeRingIdeal, ZdgenusError
+from .rings import RingTable, _idx
 
 
 # === IdealSet ===============================================================
@@ -248,5 +248,6 @@ def minimal_primes_over(i: IdealSet) -> list[IdealSet]:
     inter = (1 << t.order) - 1
     for p in minimal:
         inter &= p.mask
-    assert inter == i.mask, "minimal primes do not intersect to the ideal"
+    if inter != i.mask:
+        raise ZdgenusError("minimal primes do not intersect to the ideal")
     return minimal

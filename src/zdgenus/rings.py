@@ -633,17 +633,13 @@ def units(t: RingTable) -> set[RingElem]:
     return {RingElem(int(i)) for i in np.where(mask)[0]}
 
 
-def zero_divisors(t: RingTable) -> set[RingElem]:
-    """Nonzero elements annihilated by some nonzero element."""
-    out = set()
-    for i in range(t.order):
-        if i == t.zero:
-            continue
-        row = t.mul[i]
-        hits = np.where(row == t.zero)[0]
-        if any(j != t.zero for j in hits):
-            out.add(RingElem(i))
-    return out
+def zero_divisors(t: RingTable) -> list[int]:
+    """Sorted indices of the nonzero elements annihilated by some nonzero
+    element."""
+    hits = t.mul == t.zero
+    hits[:, t.zero] = False
+    hits[t.zero] = False
+    return [int(i) for i in np.flatnonzero(hits.any(axis=1))]
 
 
 def nilpotency_index(t: RingTable, a) -> int | None:

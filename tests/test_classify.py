@@ -18,6 +18,7 @@ from zdgenus import (
     synthesize,
     verify,
 )
+from zdgenus import classify
 from zdgenus.classify import INF, all_pass
 from zdgenus.errors import CliqueHypothesisViolated
 from zdgenus.ideals import quotient, validate_ideal
@@ -157,3 +158,12 @@ def test_verify_reports_share_theorem_slug():
 def test_product_spec_matches_catalog_product():
     table = build_ring(product(zmod(2), zmod(2), zmod(2)))
     assert iso_check(table, catalog_ring("Z_2×Z_2×Z_2")) is not None
+
+
+@pytest.mark.parametrize("answer", [True, False])
+def test_wrong_predicate_gives_failing_reports(monkeypatch, answer):
+    monkeypatch.setattr(classify, "genus_one_clique3_predicate",
+                        lambda roveri, isize: answer)
+    reports = verify(TheoremId.GENUS_ONE_CLIQUE3)
+    failing = [r for r in reports if not r.agreement and not r.inconclusive]
+    assert failing and all(r.verdict is answer for r in failing)

@@ -8,6 +8,8 @@ import csv
 import json
 from pathlib import Path
 
+from zdgenus import cli
+from zdgenus.classify import TheoremId
 from zdgenus.cli import main
 
 GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas_order27.csv"
@@ -167,3 +169,18 @@ def test_atlas_matches_golden(capsys):
     code, out, _ = run(capsys, "atlas", "--max-order", "27")
     assert code == 0
     assert out == GOLDEN_ATLAS.read_text(encoding="utf-8")
+
+
+def test_verify_all_timing_prints_one_stderr_line_per_fact(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "verify", lambda tid, budget: [])
+    code, plain_out, plain_err = run(capsys, "verify", "all")
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, "verify", "all", "--timing")
+    assert code == 0
+    assert out == plain_out
+    lines = err.splitlines()
+    assert len(lines) == len(TheoremId) == 20
+    assert [line.split(":")[0] for line in lines] == [
+        f"verify {tid.value}" for tid in TheoremId]
+    assert all(line.endswith("s") for line in lines)

@@ -20,7 +20,8 @@ from zdgenus import (
     subgraph_lower_bound,
 )
 from zdgenus.classify import attached_k4_graph
-from zdgenus.errors import HypothesisNotMet
+from zdgenus import genus as genus_module
+from zdgenus.errors import HypothesisNotMet, ZdgenusError
 
 
 def test_genus_complete_formula():
@@ -139,3 +140,17 @@ def test_certificate_json_round_trip():
     assert back.genus == 1 and back.faces == 5
     faces, genus = face_trace(g, back.rotation)
     assert (faces, genus) == (back.faces, back.genus)
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5)],
+                         ids=["planar", "searched"])
+def test_wrong_traced_genus_raises_zdgenus_error(monkeypatch, g):
+    true_trace = genus_module.face_trace
+
+    def off_by_one(graph, rot):
+        faces, genus = true_trace(graph, rot)
+        return faces, genus + 1
+
+    monkeypatch.setattr(genus_module, "face_trace", off_by_one)
+    with pytest.raises(ZdgenusError):
+        exact_genus(g)

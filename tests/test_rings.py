@@ -3,6 +3,7 @@ import pytest
 from zdgenus import (
     InvalidSpec,
     build_ring,
+    catalog_entries,
     catalog_ring,
     gf,
     is_local,
@@ -16,7 +17,7 @@ from zdgenus import (
     units,
     zmod,
 )
-from zdgenus.rings import MAX_ORDER, validate_table
+from zdgenus.rings import MAX_ORDER, validate_table, zero_divisors
 
 
 def test_zmod_tables():
@@ -149,3 +150,17 @@ def test_spec_json_rejects_garbage():
         spec_from_json("{not json")
     with pytest.raises(InvalidSpec):
         spec_from_json('{"kind": "mystery", "name": "?"}')
+
+
+def test_zero_divisors_match_definition():
+    assert zero_divisors(catalog_ring("Z_12")) == [2, 3, 4, 6, 8, 9, 10]
+    assert zero_divisors(catalog_ring("Z_7")) == []
+    for entry in catalog_entries():
+        t = catalog_ring(entry.name)
+        z = t.zero
+        expected = [
+            x for x in range(t.order)
+            if x != z and any(int(t.mul[x, y]) == z
+                              for y in range(t.order) if y != z)
+        ]
+        assert zero_divisors(t) == expected, entry.name
