@@ -22,11 +22,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import isprime
-
 from .errors import InvalidSpec
 from .ideals import IdealSet, enumerate_ideals
-from .rings import RingSpec, RingTable, build_ring, gf, product, quotient_algebra, zmod
+from .rings import (RingSpec, RingTable, build_ring, gf, is_prime_integer,
+                    product, quotient_algebra, zmod)
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     # Z_n sweep
     for n in list(range(2, 33)) + [49]:
         tags = {"zmod"}
-        if isprime(n):
+        if is_prime_integer(n):
             tags.add("field")
         if n in _PLANAR_ZMOD:
             tags.add("planar-local")
@@ -242,11 +241,8 @@ def _normalize(name: str) -> str:
 
 
 @lru_cache(maxsize=1)
-def _name_index() -> dict[str, str]:
-    index = {}
-    for e in catalog_entries():
-        index[_normalize(e.name)] = e.name
-    return index
+def _name_index() -> dict[str, CatalogEntry]:
+    return {_normalize(e.name): e for e in catalog_entries()}
 
 
 def find_catalog(name: str) -> CatalogEntry:
@@ -254,11 +250,7 @@ def find_catalog(name: str) -> CatalogEntry:
     index = _name_index()
     if key not in index:
         raise InvalidSpec(f"no catalog ring named {name!r}")
-    canonical = index[key]
-    for e in catalog_entries():
-        if e.name == canonical:
-            return e
-    raise AssertionError("catalog index out of sync")
+    return index[key]
 
 
 @lru_cache(maxsize=None)

@@ -450,7 +450,7 @@ def _locals() -> tuple[_LocalRing, ...]:
         t = catalog_ring(entry.name)
         if not is_local(t):
             continue
-        us = {u.index for u in units(t)}
+        us = set(units(t))
         nu = [a for a in range(t.order) if a not in us]
         out.append(_LocalRing(
             entry.name, t, zero_divisor_graph(t), t.order // len(nu),
@@ -779,13 +779,10 @@ def _verify_triple_product_genus(budget: int) -> list[ClassificationReport]:
         b.upper is not None and b.upper <= 1,
         f"doubled graph genus [{b.lower},{b.upper}]", **_genus_fields(b)))
     for factors in _TRIPLE_NEGATIVE_FACTORS:
-        table = catalog_ring(factors[0])
-        for f in factors[1:]:
-            table = product_tables(table, catalog_ring(f))
-        name = "×".join(factors)
+        table = product_tables(*(catalog_ring(f) for f in factors))
         g = expand(zero_divisor_graph(table), 2)
         out.append(_lower_bound_report(
-            tid, name, "-", 0, "-", g, budget,
+            tid, table.name, "-", 0, "-", g, budget,
             "doubled graph lower bound via ", False, claims_ge2=False))
     return out
 

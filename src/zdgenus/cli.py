@@ -69,10 +69,7 @@ def resolve_ring(arg: str) -> RingTable:
     tokens = _PRODUCT_SPLIT.split(arg)
     if len(tokens) < 2:
         raise InvalidSpec(f"unknown ring {arg!r}")
-    table = _resolve_factor(tokens[0])
-    for token in tokens[1:]:
-        table = product_tables(table, _resolve_factor(token))
-    return table
+    return product_tables(*(_resolve_factor(token) for token in tokens))
 
 
 def _split_top_level(text: str) -> list[str]:

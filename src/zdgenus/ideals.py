@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRadical, WholeRingIdeal, ZdgenusError
-from .rings import RingTable, _idx
+from .rings import RingTable
 
 
 # === IdealSet ===============================================================
@@ -33,8 +33,8 @@ class IdealSet:
     def members(self) -> list[int]:
         return [i for i in range(self.ring.order) if self.mask >> i & 1]
 
-    def contains(self, a) -> bool:
-        return bool(self.mask >> _idx(a) & 1)
+    def contains(self, a: int) -> bool:
+        return bool(self.mask >> int(a) & 1)
 
     def labels(self) -> list[str]:
         return [self.ring.labels[i] for i in self.members()]
@@ -110,9 +110,9 @@ def validate_ideal(i: IdealSet) -> bool:
     return True
 
 
-def cyclic_ideal(t: RingTable, a) -> IdealSet:
+def cyclic_ideal(t: RingTable, a: int) -> IdealSet:
     """Smallest ideal containing a: additive closure of {r*a : r in R}."""
-    x = _idx(a)
+    x = int(a)
     mask = 0
     for r in range(t.order):
         mask |= 1 << int(t.mul[r, x])

@@ -14,23 +14,17 @@ Supported orders are small (hard cap 64), so every check is exhaustive.
 
 from __future__ import annotations
 
+import ast
 import json
+import reprlib
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt, prod
 
 import numpy as np
-import sympy
-from sympy.parsing.sympy_parser import (
-    parse_expr,
-    standard_transformations,
-    convert_xor,
-)
 
 from .errors import InvalidSpec, NonConfluentPresentation
 
 MAX_ORDER = 64
-
-_PARSE_TRANSFORMS = standard_transformations + (convert_xor,)
 
 
 # === Specs ==================================================================
@@ -77,13 +71,28 @@ def zmod(n: int, name: str | None = None) -> RingSpec:
     return RingSpec(kind="zmod", name=name or f"Z_{n}", n=n, expected_order=n)
 
 
+def is_prime_integer(n: int) -> bool:
+    """Whether the integer n is a prime number, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _gf_order(p, k) -> int:
+    """p**k, once p is a prime and p**k is at most MAX_ORDER."""
+    if not isinstance(p, int) or not 2 <= p <= MAX_ORDER \
+            or not is_prime_integer(p):
+        raise InvalidSpec(f"gf requires a prime p <= {MAX_ORDER}, got {p!r}")
+    # p >= 2, so k above the bit length of MAX_ORDER is already too large
+    if not isinstance(k, int) or not 1 <= k <= MAX_ORDER.bit_length() \
+            or p**k > MAX_ORDER:
+        raise InvalidSpec(
+            f"gf requires k >= 1 and p^k <= {MAX_ORDER}, got k={k!r}")
+    return p**k
+
+
 def gf(p: int, k: int, name: str | None = None) -> RingSpec:
-    if not isinstance(p, int) or p < 2 or not sympy.isprime(p):
-        raise InvalidSpec(f"gf requires a prime p, got {p!r}")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidSpec(f"gf requires k >= 1, got {k!r}")
+    order = _gf_order(p, k)
     return RingSpec(
-        kind="gf", name=name or f"F_{p ** k}", p=p, k=k, expected_order=p**k
+        kind="gf", name=name or f"F_{order}", p=p, k=k, expected_order=order
     )
 
 
@@ -162,15 +171,6 @@ class RingTable:
         return f"RingTable({self.name or 'unnamed'}, order={self.order})"
 
 
-@dataclass(frozen=True, order=True)
-class RingElem:
-    index: int
-
-
-def _idx(a) -> int:
-    return a.index if isinstance(a, RingElem) else int(a)
-
-
 @dataclass
 class ValidationReport:
     """Axiom violations found in a table; empty iff the table is a ring."""
@@ -189,33 +189,59 @@ class ValidationReport:
 
 
 def _parse_poly(text: str, variables: tuple[str, ...], n: int):
-    """Parse an expression string to {exponent tuple: coefficient mod n}."""
-    syms = [sympy.Symbol(v) for v in variables]
-    local = dict(zip(variables, syms))
+    """Parse an expression string to {exponent tuple: coefficient mod n}.
+
+    The grammar is Python expression syntax with ``^`` also meaning ``**``:
+    integer constants, the declared variables, parentheses, unary + and -,
+    binary +, - and *, and powers with a literal non-negative integer
+    exponent.  The string is parsed, never evaluated.
+    """
+    if not isinstance(text, str):
+        raise InvalidSpec(f"relation sides must be strings, got {text!r}")
+    index = {v: i for i, v in enumerate(variables)}
+    const = (0,) * len(variables)
+
+    def term(exps: tuple[int, ...], c: int) -> dict:
+        return {exps: c % n} if c % n else {}
+
+    def walk(node) -> dict:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return term(const, node.value)
+        if isinstance(node, ast.Name) and node.id in index:
+            return term(tuple(int(i == index[node.id])
+                              for i in range(len(const))), 1)
+        if isinstance(node, ast.UnaryOp) and \
+                isinstance(node.op, (ast.UAdd, ast.USub)):
+            sign = -1 if isinstance(node.op, ast.USub) else 1
+            return _poly_add({}, walk(node.operand), n, sign)
+        if isinstance(node, ast.BinOp) and \
+                isinstance(node.op, (ast.Add, ast.Sub)):
+            sign = -1 if isinstance(node.op, ast.Sub) else 1
+            return _poly_add(walk(node.left), walk(node.right), n, sign)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return _poly_mul(walk(node.left), walk(node.right), n)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and \
+                isinstance(node.right, ast.Constant) and \
+                type(node.right.value) is int and node.right.value >= 0:
+            base, e, out = walk(node.left), node.right.value, term(const, 1)
+            while e:  # square and multiply
+                if e & 1:
+                    out = _poly_mul(out, base, n)
+                e >>= 1
+                base = _poly_mul(base, base, n) if e else base
+            return out
+        what = (f"symbol {node.id!r}" if isinstance(node, ast.Name)
+                else type(node).__name__)
+        raise InvalidSpec(f"undeclared or unsupported {what} in polynomial "
+                          f"{reprlib.repr(text)}")
+
     try:
-        expr = parse_expr(
-            text, local_dict=local, transformations=_PARSE_TRANSFORMS
-        )
-    except Exception as exc:
-        raise InvalidSpec(f"cannot parse polynomial {text!r}: {exc}") from exc
-    expr = sympy.expand(expr)
-    extra = expr.free_symbols - set(syms)
-    if extra:
-        raise InvalidSpec(
-            f"undeclared symbols {sorted(map(str, extra))} in {text!r}"
-        )
-    poly = sympy.Poly(expr, *syms, domain="ZZ") if syms else None
-    out: dict[tuple[int, ...], int] = {}
-    if poly is None:
-        c = int(expr) % n
-        if c:
-            out[()] = c
-        return out
-    for exps, coeff in poly.terms():
-        c = int(coeff) % n
-        if c:
-            out[tuple(int(e) for e in exps)] = c
-    return out
+        return walk(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # the parser signals over-deep input with RecursionError or
+        # MemoryError
+        raise InvalidSpec(f"cannot parse polynomial {reprlib.repr(text)}: "
+                          f"{type(exc).__name__}: {exc}") from exc
 
 
 def _deglex_key(exps: tuple[int, ...]):
@@ -228,6 +254,28 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _poly_add(a: dict, b: dict, n: int, sign: int = 1) -> dict:
+    """a + sign*b with coefficients mod n and zero terms dropped."""
+    out = dict(a)
+    for m, c in b.items():
+        v = (out.get(m, 0) + sign * c) % n
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _poly_mul(a: dict, b: dict, n: int) -> dict:
+    """a*b with coefficients mod n and zero terms dropped."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mm = _mono_mul(ma, mb)
+            out[mm] = (out.get(mm, 0) + ca * cb) % n
+    return {m: c for m, c in out.items() if c}
 
 
 def _poly_label(poly: dict, variables: tuple[str, ...]) -> str:
@@ -255,7 +303,7 @@ class _QuotientEngine:
     """Monomial-rewriting normal forms for Z_n[vars]/(relations)."""
 
     def __init__(self, spec: RingSpec):
-        if spec.n is None or spec.n < 2:
+        if not isinstance(spec.n, int) or spec.n < 2:
             raise InvalidSpec("quotient base must be zmod n with n >= 2")
         if not spec.variables:
             raise InvalidSpec("quotient algebra needs at least one variable")
@@ -409,16 +457,9 @@ def _build_quotient(spec: RingSpec) -> RingTable:
         pa = polys[a]
         for b in range(a, order):
             pb = polys[b]
-            s = dict(pa)
-            for m, c in pb.items():
-                s[m] = s.get(m, 0) + c
-            add[a, b] = add[b, a] = encode(eng.normal_form(s))
-            prod: dict = {}
-            for ma, ca in pa.items():
-                for mb, cb in pb.items():
-                    mm = _mono_mul(ma, mb)
-                    prod[mm] = prod.get(mm, 0) + ca * cb
-            nf = eng.normal_form(prod)
+            add[a, b] = add[b, a] = encode(
+                eng.normal_form(_poly_add(pa, pb, eng.n)))
+            nf = eng.normal_form(_poly_mul(pa, pb, eng.n))
             for m in nf:
                 if m not in basis:
                     raise NonConfluentPresentation(
@@ -467,14 +508,12 @@ def _build_zmod(n: int, name: str, spec: RingSpec) -> RingTable:
     )
 
 
-def _build_product(spec: RingSpec) -> RingTable:
-    tables = [build_ring(f) for f in spec.factors]
-    order = 1
-    for t in tables:
-        order *= t.order
+def product_tables(*tables: RingTable, name: str = "") -> RingTable:
+    """Direct product of built tables; the first factor is the most
+    significant digit of an element index, and labels are flat tuples."""
+    order = prod(t.order for t in tables)
     if order > MAX_ORDER:
         raise InvalidSpec(f"ring order {order} exceeds maximum {MAX_ORDER}")
-    # First factor is the most significant digit.
     strides = [1] * len(tables)
     for i in reversed(range(len(tables) - 1)):
         strides[i] = strides[i + 1] * tables[i + 1].order
@@ -482,50 +521,21 @@ def _build_product(spec: RingSpec) -> RingTable:
     digits = [(idx // strides[i]) % t.order for i, t in enumerate(tables)]
     add = np.zeros((order, order), dtype=np.int64)
     mul = np.zeros((order, order), dtype=np.int64)
-    for i, t in enumerate(tables):
-        d = digits[i]
-        add += t.add[np.ix_(d, d)].astype(np.int64) * strides[i]
-        mul += t.mul[np.ix_(d, d)].astype(np.int64) * strides[i]
-    zero = sum(t.zero * strides[i] for i, t in enumerate(tables))
-    one = sum(t.one * strides[i] for i, t in enumerate(tables))
-    labels = []
-    for e in range(order):
-        parts = [t.labels[digits[i][e]] for i, t in enumerate(tables)]
-        labels.append("(" + ", ".join(parts) + ")")
-    return RingTable(
-        order=order,
-        add=add.astype(np.int16),
-        mul=mul.astype(np.int16),
-        zero=int(zero),
-        one=int(one),
-        labels=tuple(labels),
-        name=spec.name,
-        spec=spec,
-    )
-
-
-def product_tables(t1: RingTable, t2: RingTable, name: str = "") -> RingTable:
-    """Direct product of two built tables; the first factor is the high digit."""
-    order = t1.order * t2.order
-    if order > MAX_ORDER:
-        raise InvalidSpec(f"ring order {order} exceeds maximum {MAX_ORDER}")
-    idx = np.arange(order)
-    d1 = idx // t2.order
-    d2 = idx % t2.order
-    add = t1.add[np.ix_(d1, d1)].astype(np.int64) * t2.order + t2.add[np.ix_(d2, d2)]
-    mul = t1.mul[np.ix_(d1, d1)].astype(np.int64) * t2.order + t2.mul[np.ix_(d2, d2)]
+    for d, t, stride in zip(digits, tables, strides):
+        add += t.add[np.ix_(d, d)].astype(np.int64) * stride
+        mul += t.mul[np.ix_(d, d)].astype(np.int64) * stride
     labels = tuple(
-        f"({t1.labels[d1[e]]}, {t2.labels[d2[e]]})" for e in range(order)
+        "(" + ", ".join(t.labels[d[e]] for d, t in zip(digits, tables)) + ")"
+        for e in range(order)
     )
     return RingTable(
         order=order,
         add=add.astype(np.int16),
         mul=mul.astype(np.int16),
-        zero=t1.zero * t2.order + t2.zero,
-        one=t1.one * t2.order + t2.one,
+        zero=sum(t.zero * stride for t, stride in zip(tables, strides)),
+        one=sum(t.one * stride for t, stride in zip(tables, strides)),
         labels=labels,
-        name=name or f"{t1.name}×{t2.name}",
-        spec=None,
+        name=name or "×".join(t.name for t in tables),
     )
 
 
@@ -538,8 +548,7 @@ def build_ring(spec: RingSpec) -> RingTable:
             raise InvalidSpec("zmod requires n >= 2")
         table = _build_zmod(spec.n, spec.name, spec)
     elif spec.kind == "gf":
-        if spec.p is None or spec.k is None or not sympy.isprime(spec.p):
-            raise InvalidSpec("gf requires prime p and k >= 1")
+        _gf_order(spec.p, spec.k)
         if spec.k == 1:
             table = _build_zmod(spec.p, spec.name, spec)
         else:
@@ -554,7 +563,9 @@ def build_ring(spec: RingSpec) -> RingTable:
             table = _build_quotient(inner)
             table.spec = spec
     elif spec.kind == "product":
-        table = _build_product(spec)
+        table = product_tables(*(build_ring(f) for f in spec.factors),
+                               name=spec.name)
+        table.spec = spec
     elif spec.kind == "quotient":
         table = _build_quotient(spec)
     else:
@@ -627,10 +638,9 @@ def validate_table(t: RingTable) -> ValidationReport:
 # === Element-level queries ==================================================
 
 
-def units(t: RingTable) -> set[RingElem]:
-    """Elements with a multiplicative inverse."""
-    mask = (t.mul == t.one).any(axis=1)
-    return {RingElem(int(i)) for i in np.where(mask)[0]}
+def units(t: RingTable) -> list[int]:
+    """Sorted indices of the elements with a multiplicative inverse."""
+    return [int(i) for i in np.flatnonzero((t.mul == t.one).any(axis=1))]
 
 
 def zero_divisors(t: RingTable) -> list[int]:
@@ -642,9 +652,9 @@ def zero_divisors(t: RingTable) -> list[int]:
     return [int(i) for i in np.flatnonzero(hits.any(axis=1))]
 
 
-def nilpotency_index(t: RingTable, a) -> int | None:
+def nilpotency_index(t: RingTable, a: int) -> int | None:
     """Smallest k >= 1 with a^k = 0, or None if a is not nilpotent."""
-    x = _idx(a)
+    x = int(a)
     cur = x
     for k in range(1, t.order + 1):
         if cur == t.zero:
@@ -653,8 +663,8 @@ def nilpotency_index(t: RingTable, a) -> int | None:
     return None
 
 
-def additive_order(t: RingTable, a) -> int:
-    x = _idx(a)
+def additive_order(t: RingTable, a: int) -> int:
+    x = int(a)
     cur = x
     for k in range(1, t.order + 1):
         if cur == t.zero:
@@ -707,8 +717,7 @@ def iso_check(a: RingTable, b: RingTable) -> list[int] | None:
     """
     if a.order != b.order:
         return None
-    ua = {e.index for e in units(a)}
-    ub = {e.index for e in units(b)}
+    ua, ub = set(units(a)), set(units(b))
     fa, fb = _fingerprint(a, ua), _fingerprint(b, ub)
     if sorted(fa) != sorted(fb):
         return None
@@ -810,11 +819,6 @@ def spec_to_json(spec: RingSpec) -> str:
 
 
 def spec_from_json(text: str) -> RingSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"invalid JSON: {exc}") from exc
-
     def dec(d) -> RingSpec:
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidSpec("ring spec JSON must be an object with a kind")
@@ -835,4 +839,10 @@ def spec_from_json(text: str) -> RingSpec:
             )
         raise InvalidSpec(f"unknown ring kind {kind!r}")
 
-    return dec(data)
+    try:
+        return dec(json.loads(text))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; missing keys and wrongly
+        # typed fields surface as the other three
+        raise InvalidSpec(
+            f"invalid ring spec JSON: {type(exc).__name__}: {exc}") from exc

@@ -8,6 +8,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from zdgenus import cli
 from zdgenus.classify import TheoremId
 from zdgenus.cli import main
@@ -49,6 +51,46 @@ def test_unknown_ring_exits_2(capsys):
     code, _, err = run(capsys, "ring", "Z_999")
     assert code == 2
     assert "error" in err
+
+
+def test_adhoc_triple_product_has_flat_labels(capsys):
+    code, out, _ = run(capsys, "ring", "Z_2×Z_2×Z_5")
+    assert code == 0
+    assert "labels: (0, 0, 0) (0, 0, 1) (0, 0, 2)" in out
+    assert "(1, 1, 4)\n" in out and "((" not in out
+    code, out, _ = run(capsys, "graph", "Z_2xZ_2xZ_5", "gen:(0, 0, 1)")
+    assert code == 0
+    assert out.startswith("graph of Z_2×Z_2×Z_5 at ((0, 0, 1))\n")
+    assert "vertices: 10" in out and "edges: 25" in out
+
+
+_BAD_RELATIONS = ["x^-1", "sin(x)", "1.5*x", "2x", "x^y", "x/2",
+                  "+".join(["x"] * 100000)]
+BAD_SPECS = [
+    {"kind": "zmod"},
+    {"kind": "gf", "p": 2, "k": 100000},
+    {"kind": "quotient", "base": 4, "variables": ["x"],
+     "relations": [["x^2"]]},
+] + [
+    {"kind": "quotient", "base": 4, "variables": ["x"],
+     "relations": [["x^2", rhs]]} for rhs in _BAD_RELATIONS
+]
+# written as is: JSON too deeply nested for the decoder
+DEEP_JSON = ('{"kind": "product", "factors": '
+             + "[" * 100000 + "]" * 100000 + "}")
+
+
+@pytest.mark.parametrize(
+    "spec", BAD_SPECS + [DEEP_JSON],
+    ids=[f"spec{i}" for i in range(len(BAD_SPECS) + 1)])
+def test_bad_spec_json_exits_2(spec, capsys, tmp_path):
+    path = tmp_path / "ring.json"
+    text = spec if isinstance(spec, str) else json.dumps(spec)
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_ideals_row_counts(capsys):

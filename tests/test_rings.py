@@ -48,11 +48,11 @@ def test_gf_fields():
 
 
 def test_units_z12(z12):
-    assert sorted(u.index for u in units(z12)) == [1, 5, 7, 11]
+    assert sorted(units(z12)) == [1, 5, 7, 11]
 
 
 def test_units_closed(z8):
-    us = {u.index for u in units(z8)}
+    us = set(units(z8))
     assert us == {1, 3, 5, 7}
     for a in us:
         for b in us:
@@ -98,6 +98,29 @@ def test_product_tables_layout():
     assert t.zero == 0 and t.labels[t.one] == "(1, 1)"
     # high digit is the first factor
     assert t.labels[3] == "(1, 0)"
+
+
+def test_product_tables_n_ary_matches_product_spec():
+    factors = [build_ring(zmod(2)), build_ring(zmod(2)), build_ring(zmod(5))]
+    t = product_tables(*factors)
+    spec_built = build_ring(product(zmod(2), zmod(2), zmod(5)))
+    assert t.name == spec_built.name == "Z_2×Z_2×Z_5"
+    assert t.labels == spec_built.labels
+    assert t.labels[1] == "(0, 0, 1)" and t.labels[5] == "(0, 1, 0)"
+    assert (t.add == spec_built.add).all() and (t.mul == spec_built.mul).all()
+    assert (t.zero, t.one) == (spec_built.zero, spec_built.one) == (0, 16)
+    assert t.spec is None and spec_built.spec is not None
+
+
+def test_units_are_sorted_indices(z12):
+    assert units(z12) == [1, 5, 7, 11]
+    assert all(type(u) is int for u in units(z12))
+
+
+def test_gf_rejects_bad_parameters():
+    for p, k in [(4, 1), (67, 1), (2, 7), (2, 100000), (2, 0), (2.0, 1)]:
+        with pytest.raises(InvalidSpec):
+            gf(p, k)
 
 
 def test_product_spec_builder():

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,3 +19,30 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_computer_algebra_imports(path):
+    """Relation strings are parsed by an AST walk in rings.py; sympy is a
+    test-only dependency and must not come back into the runtime."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "sympy" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "sympy"
+    ]
+    assert not lines, f"{path.name}: sympy imported at lines {lines}"
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zdgenus.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
