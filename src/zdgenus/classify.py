@@ -22,6 +22,7 @@ from .catalog import catalog_entries, catalog_pairs, catalog_ring
 from .errors import CliqueHypothesisViolated, ZdgenusError
 from .genus import (
     GenusBounds,
+    closed_form_bound,
     euler_lower_bound,
     exact_genus,
     is_planar,
@@ -874,7 +875,7 @@ def _verify_quotient_genus2_lift(budget: int) -> list[ClassificationReport]:
         gq = zero_divisor_graph(target)
         if gq.n == 0:
             continue
-        qlo = max(euler_lower_bound(gq), subgraph_lower_bound(gq)[0])
+        qlo = closed_form_bound(gq)[0]
         if qlo < 2:
             continue
         table, ideal = synthesize(target, 2)

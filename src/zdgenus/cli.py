@@ -33,7 +33,6 @@ from .ideals import (
     ideal_from_generators,
     is_prime,
     is_radical,
-    quotient,
 )
 from .rings import (
     RingTable,
@@ -123,6 +122,15 @@ def _fmt(value) -> str:
     return "inf" if value == INF else str(value)
 
 
+def _emit(payload: str, output: str | None, note: str = "") -> None:
+    """Write payload to the --output path and say so, or print it."""
+    if output:
+        Path(output).write_text(payload, encoding="utf-8")
+        print(f"wrote {output}{note}")
+    else:
+        sys.stdout.write(payload)
+
+
 # === Subcommands ============================================================
 
 
@@ -132,21 +140,22 @@ def cmd_ring(args) -> int:
     n_zero_divisors = len(zero_divisors(table)) + 1  # the count includes 0
     local = is_local(table)
     if args.format == "json":
-        print(json.dumps({
+        payload = json.dumps({
             "name": table.name,
             "order": table.order,
             "units": n_units,
             "zero_divisors": n_zero_divisors,
             "local": local,
             "labels": list(table.labels),
-        }, ensure_ascii=False))
+        }, ensure_ascii=False) + "\n"
     else:
-        print(f"ring: {table.name}")
-        print(f"order: {table.order}")
-        print(f"units: {n_units}")
-        print(f"zero-divisors: {n_zero_divisors}")
-        print(f"local: {'yes' if local else 'no'}")
-        print("labels: " + " ".join(table.labels))
+        payload = (f"ring: {table.name}\n"
+                   f"order: {table.order}\n"
+                   f"units: {n_units}\n"
+                   f"zero-divisors: {n_zero_divisors}\n"
+                   f"local: {'yes' if local else 'no'}\n"
+                   "labels: " + " ".join(table.labels) + "\n")
+    _emit(payload, args.output)
     return 0
 
 
@@ -163,15 +172,15 @@ def cmd_ideals(args) -> int:
         for k, i in enumerate(enumerate_ideals(table))
     ]
     if args.format == "json":
-        for row in rows:
-            print(json.dumps(row, ensure_ascii=False))
+        lines = [json.dumps(row, ensure_ascii=False) for row in rows]
     else:
-        print(f"ideals of {table.name}: {len(rows)}")
+        lines = [f"ideals of {table.name}: {len(rows)}"]
         for r in rows:
             flags = (("prime " if r["prime"] else "") +
                      ("radical" if r["radical"] else "")).strip() or "-"
-            print(f"#{r['index']:<3} {r['ideal']:<24} size={r['size']:<3} "
-                  f"{flags}")
+            lines.append(f"#{r['index']:<3} {r['ideal']:<24} "
+                         f"size={r['size']:<3} {flags}")
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -204,11 +213,7 @@ def cmd_graph(args) -> int:
             f"graph of {table.name} at {ideal.describe()}\n"
             + "\n".join(f"{k}: {_fmt(v)}" for k, v in summary.items())
             + "\n")
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(payload)
+    _emit(payload, args.output)
     return 0
 
 
@@ -231,7 +236,7 @@ def cmd_genus(args) -> int:
     else:
         print(f"graph of {table.name} at {ideal.describe()}: "
               f"{g.n} vertices, {g.m} edges")
-        if bounds.upper is not None and bounds.lower == bounds.upper:
+        if bounds.exact:
             print(f"genus: {bounds.lower}")
         else:
             print(f"genus lower: {bounds.lower}")
@@ -286,11 +291,7 @@ def cmd_verify(args) -> int:
             for r in reports)
     else:
         payload = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(payload)
+    _emit(payload, args.output)
     if failures:
         return 1
     if inconclusive:
@@ -317,7 +318,7 @@ def atlas_rows(max_order: int, budget: int) -> list[dict]:
             "ideal_size": ideal.size,
             "prime": str(is_prime(ideal)).lower(),
             "radical": str(is_radical(ideal)).lower(),
-            "quotient_order": quotient(table, ideal).table.order,
+            "quotient_order": table.order // ideal.size,
             "vertices": g.n,
             "edges": g.m,
             "diameter": _fmt(inv["diameter"]),
@@ -339,12 +340,7 @@ def cmd_atlas(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    payload = buf.getvalue()
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-        print(f"wrote {args.output}: {len(rows)} rows")
-    else:
-        sys.stdout.write(payload)
+    _emit(buf.getvalue(), args.output, f": {len(rows)} rows")
     return 0
 
 

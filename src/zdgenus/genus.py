@@ -92,15 +92,14 @@ def _to_nx(g: SimpleGraph) -> nx.Graph:
 
 
 def is_planar(g: SimpleGraph) -> bool:
-    ok, _ = nx.check_planarity(_to_nx(g), counterexample=False)
-    return ok
+    return planar_rotation(g) is not None
 
 
-def planar_rotation(g: SimpleGraph) -> RotationSystem:
-    """Rotation system of a planar embedding of a connected planar graph."""
+def planar_rotation(g: SimpleGraph) -> RotationSystem | None:
+    """Rotation system of a planar embedding; None if g is not planar."""
     ok, emb = nx.check_planarity(_to_nx(g))
     if not ok:
-        raise InvalidSpec("graph is not planar")
+        return None
     data = emb.get_data()
     return RotationSystem(tuple(tuple(data[v]) for v in range(g.n)))
 
@@ -174,14 +173,6 @@ def euler_lower_bound(g: SimpleGraph) -> int:
     return max(0, _ceil_div((gr - 2) * e - gr * (v - 2), 2 * gr))
 
 
-def _euler_cheap(g: SimpleGraph) -> int:
-    """Triangle-bound variant without the girth computation."""
-    v, e = g.n, g.m
-    if v < 3 or not is_connected(g):
-        return 0
-    return max(0, _ceil_div(e - 3 * v + 6, 6))
-
-
 def _max_biclique_n(g: SimpleGraph, m: int) -> int:
     """Largest n with a K_{m,n} subgraph, by branch and bound over m-sets."""
     best = 0
@@ -216,9 +207,21 @@ def subgraph_lower_bound(g: SimpleGraph) -> tuple[int, str]:
     return best, prov
 
 
+def closed_form_bound(g: SimpleGraph) -> tuple[int, str]:
+    """The larger of the Euler and subgraph bounds (Euler on ties), with
+    its provenance.  The subgraph search is skipped above 200 vertices."""
+    el = euler_lower_bound(g)
+    if g.n <= 200:
+        sl, sp = subgraph_lower_bound(g)
+        if sl > el:
+            return sl, f"subgraph {sp}"
+    return el, f"euler bound {el}"
+
+
 def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
     """Genus bound from a K_4 whose vertices all reach the rest of the
-    graph: one more than a certified bound for the complement part."""
+    graph, the rest being connected: one more than the closed-form bound
+    of the rest."""
     q = list(g1_vertices)
     if len(set(q)) != 4:
         raise HypothesisNotMet("need four distinct vertices")
@@ -234,31 +237,22 @@ def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
         if g.adj[v] & ~qmask == 0:
             raise HypothesisNotMet(f"vertex {v} has no edge to the rest")
     rest = remove_vertices(g, q)
-    total = 0
-    for comp in connected_components(rest):
-        sub = induced_subgraph(rest, comp)
-        total += max(euler_lower_bound(sub), subgraph_lower_bound(sub)[0])
-    return 1 + total
+    if not is_connected(rest):
+        # genus adds over blocks, so a bound summed over the components
+        # of the rest is not sound
+        raise HypothesisNotMet("the rest of the graph is disconnected")
+    return 1 + closed_form_bound(rest)[0]
 
 
 def _k4_scan(g: SimpleGraph) -> int:
     """Best attached-K_4 bound over all 4-cliques; 0 if none qualifies."""
     best = 0
-    full = (1 << g.n) - 1
     for q in combinations(range(g.n), 4):
-        if not all(g.has_edge(a, b) for a, b in combinations(q, 2)):
-            continue
-        qmask = sum(1 << v for v in q)
-        if qmask == full:
-            continue
-        if any(g.adj[v] & ~qmask == 0 for v in q):
-            continue
-        rest = remove_vertices(g, q)
-        total = sum(
-            _euler_cheap(induced_subgraph(rest, comp))
-            for comp in connected_components(rest)
-        )
-        best = max(best, 1 + total)
+        if all(g.has_edge(a, b) for a, b in combinations(q, 2)):
+            try:
+                best = max(best, k4_attachment_bound(g, q))
+            except HypothesisNotMet:
+                pass
     return best
 
 
@@ -481,8 +475,14 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
     """Certified genus bounds; exact with an embedding certificate whenever
     the exhaustive search is allowed to finish.
 
-    Disconnected input is handled per component and summed.  Graphs with
-    more than EXHAUSTIVE_EDGE_CAP edges get bounds only."""
+    Disconnected input is handled per component and summed, and all
+    components draw on the one search budget.  Graphs with more than
+    EXHAUSTIVE_EDGE_CAP edges get bounds only."""
+    return _exact_genus(g, [budget])
+
+
+def _exact_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
+    """exact_genus with the remaining budget in the shared cell spent[0]."""
     if g.n == 0:
         return GenusBounds(0, 0, ("empty graph",), None)
     comps = connected_components(g)
@@ -490,7 +490,7 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
         lower = upper = 0
         prov = []
         for comp in comps:
-            sub = exact_genus(induced_subgraph(g, comp), budget)
+            sub = _exact_genus(induced_subgraph(g, comp), spent)
             lower += sub.lower
             upper = None if upper is None or sub.upper is None else upper + sub.upper
             prov.extend(sub.provenance)
@@ -499,21 +499,17 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
         rot = RotationSystem(((),) * g.n)
         return GenusBounds(0, 0, ("single vertex",),
                            EmbeddingCertificate(rot, 1, 0))
-    if is_planar(g):
-        rot = planar_rotation(g)
+    rot = planar_rotation(g)
+    if rot is not None:
         faces, gen = face_trace(g, rot)
         if gen != 0:
             raise ZdgenusError(f"planar embedding traced to genus {gen}")
         return GenusBounds(0, 0, ("planar embedding",),
                            EmbeddingCertificate(rot, faces, 0))
     lb, prov = 1, ["nonplanar"]
-    el = euler_lower_bound(g)
-    if el > lb:
-        lb, prov = el, [f"euler bound {el}"]
-    if g.n <= 200:
-        sl, sp = subgraph_lower_bound(g)
-        if sl > lb:
-            lb, prov = sl, [f"subgraph {sp}"]
+    cb, cp = closed_form_bound(g)
+    if cb > lb:
+        lb, prov = cb, [cp]
     if g.n <= 20:
         kb = _k4_scan(g)
         if kb > lb:
@@ -521,7 +517,6 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
     if g.m > EXHAUSTIVE_EDGE_CAP:
         return GenusBounds(lb, None, tuple(prov + ["too many edges for search"]),
                            None)
-    spent = [budget]
     target = lb
     emb = _Embedder(g, spent)
     while True:

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import InvalidSpec, NonConfluentPresentation
 
 MAX_ORDER = 64
+# a relation such as (x+y+2)^300 would otherwise expand for minutes
+MAX_TERM_PAIRS = 2**20
 
 
 # === Specs ==================================================================
@@ -119,6 +121,10 @@ def quotient_algebra(
     name: str,
     expected_order: int | None = None,
 ) -> RingSpec:
+    if expected_order is not None and (type(expected_order) is not int
+                                       or expected_order < 1):
+        raise InvalidSpec(f"expected_order must be a positive int, got "
+                          f"{expected_order!r}")
     rules = tuple(
         r if isinstance(r, RewriteRule) else RewriteRule(*r) for r in relations
     )
@@ -270,6 +276,9 @@ def _poly_add(a: dict, b: dict, n: int, sign: int = 1) -> dict:
 
 def _poly_mul(a: dict, b: dict, n: int) -> dict:
     """a*b with coefficients mod n and zero terms dropped."""
+    if len(a) * len(b) > MAX_TERM_PAIRS:
+        raise InvalidSpec(f"polynomial product of {len(a)} by {len(b)} "
+                          f"terms exceeds {MAX_TERM_PAIRS} term pairs")
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():

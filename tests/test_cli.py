@@ -74,6 +74,14 @@ BAD_SPECS = [
 ] + [
     {"kind": "quotient", "base": 4, "variables": ["x"],
      "relations": [["x^2", rhs]]} for rhs in _BAD_RELATIONS
+] + [
+    # expands past the term-pair cap instead of running for seconds
+    {"kind": "quotient", "base": 63, "variables": ["x", "y"],
+     "relations": [["x^2", "(x+y+2)^300"]]},
+] + [
+    {"kind": "quotient", "base": 2, "variables": ["x"],
+     "relations": [["x^2", "0"]], "expected_order": order}
+    for order in ("4", True)
 ]
 # written as is: JSON too deeply nested for the decoder
 DEEP_JSON = ('{"kind": "product", "factors": '
@@ -91,6 +99,16 @@ def test_bad_spec_json_exits_2(spec, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["ring", "ideals"])
+def test_output_flag_writes_the_payload(command, capsys, tmp_path):
+    _, printed, _ = run(capsys, command, "Z_6")
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, command, "Z_6", "--output", str(path))
+    assert code == 0
+    assert out == f"wrote {path}\n"
+    assert path.read_text(encoding="utf-8") == printed
 
 
 def test_ideals_row_counts(capsys):

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zdgenus import (
     certificate_from_json,
     certificate_to_json,
+    closed_form_bound,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
@@ -22,6 +25,33 @@ from zdgenus import (
 from zdgenus.classify import attached_k4_graph
 from zdgenus import genus as genus_module
 from zdgenus.errors import HypothesisNotMet, ZdgenusError
+from zdgenus.genus import planar_rotation
+
+K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+# a K_4 with pendants on vertices 0, 1 and 2; vertex 3 is free
+K4_THREE_PENDANTS = make_graph(7, K4_EDGES + [(0, 4), (1, 5), (2, 6)])
+# (block, genus); the genus of a graph is the sum over its blocks
+BLOCKS = [
+    (K4_THREE_PENDANTS, 0),
+    (complete_graph(4), 0),
+    (complete_graph(5), 1),
+    (complete_graph(6), 1),
+    (complete_bipartite(2, 3), 0),
+    (complete_bipartite(3, 3), 1),
+    (complete_bipartite(3, 4), 1),
+    (make_graph(5, [(i, (i + 1) % 5) for i in range(5)]), 0),
+]
+
+
+def glue(a, b, va, vb, shared):
+    """a and b joined by the bridge va-vb, or with va and vb identified."""
+    if not shared:
+        return make_graph(a.n + b.n, a.edges() + [(va, a.n + vb)] +
+                          [(a.n + u, a.n + v) for u, v in b.edges()])
+    others = [v for v in range(b.n) if v != vb]
+    new = {vb: va, **{v: a.n + k for k, v in enumerate(others)}}
+    return make_graph(a.n + b.n - 1,
+                      a.edges() + [(new[u], new[v]) for u, v in b.edges()])
 
 
 def test_genus_complete_formula():
@@ -57,6 +87,14 @@ def test_is_planar():
     assert is_planar(complete_graph(4))
     assert not is_planar(complete_graph(5))
     assert not is_planar(complete_bipartite(3, 3))
+    assert planar_rotation(complete_graph(5)) is None
+
+
+def test_closed_form_bound_prefers_euler_on_ties():
+    assert closed_form_bound(complete_graph(8)) == (2, "euler bound 2")
+    assert closed_form_bound(complete_bipartite(3, 3)) == (1, "euler bound 1")
+    k5_pendant = make_graph(6, complete_graph(5).edges() + [(4, 5)])
+    assert closed_form_bound(k5_pendant) == (1, "subgraph K_5")
 
 
 def test_exact_genus_planar():
@@ -91,6 +129,16 @@ def test_exact_genus_matches_formulas():
     for m, n in [(2, 4), (3, 3), (3, 4), (4, 4)]:
         b = exact_genus(complete_bipartite(m, n))
         assert b.lower == b.upper == genus_biclique(m, n)
+
+
+def test_budget_is_one_pool_across_components():
+    k7 = complete_graph(7)
+    b = exact_genus(k7, 78)
+    assert (b.lower, b.upper) == (1, 1)
+    two = make_graph(14, k7.edges() + [(u + 7, v + 7) for u, v in k7.edges()])
+    b = exact_genus(two, 78)
+    assert (b.lower, b.upper) == (2, None)
+    assert "budget exhausted" in b.provenance
 
 
 def test_budget_exhaustion_returns_bounds():
@@ -130,6 +178,38 @@ def test_k4_attachment_bound_hypotheses():
         k4_attachment_bound(g, (0, 1, 2, 3))  # one side: not a clique
     with pytest.raises(HypothesisNotMet):
         k4_attachment_bound(complete_graph(4), (0, 1, 2, 3))  # nothing outside
+    # a pendant on every vertex: planar, and the rest is disconnected
+    pendants = make_graph(8, K4_EDGES + [(v, v + 4) for v in range(4)])
+    with pytest.raises(HypothesisNotMet):
+        k4_attachment_bound(pendants, (0, 1, 2, 3))
+
+
+def test_exact_genus_h_is_bounded_by_attached_k4():
+    h, _ = attached_k4_graph()
+    assert exact_genus(h).provenance[0] == "attached K4 bound 2"
+
+
+def test_exact_genus_k4_bridged_to_k5():
+    g = glue(K4_THREE_PENDANTS, complete_graph(5), 3, 0, False)
+    assert (g.n, g.m) == (12, 20)
+    b = exact_genus(g)
+    assert (b.lower, b.upper) == (1, 1)
+    assert face_trace(g, b.certificate.rotation)[1] == 1
+
+
+@given(st.data(), st.sampled_from(BLOCKS), st.sampled_from(BLOCKS),
+       st.booleans())
+@example(None, BLOCKS[0], BLOCKS[2], False).via("K4 bridged to K5")
+@example(None, BLOCKS[0], BLOCKS[3], True).via("K4 sharing a vertex of K6")
+def test_exact_genus_adds_over_blocks(data, a, b, shared):
+    (ga, gen_a), (gb, gen_b) = a, b
+    if data is None:  # the explicit examples glue at the free K_4 vertex
+        va, vb = 3, 0
+    else:
+        va = data.draw(st.integers(0, ga.n - 1))
+        vb = data.draw(st.integers(0, gb.n - 1))
+    bounds = exact_genus(glue(ga, gb, va, vb, shared))
+    assert (bounds.lower, bounds.upper) == (gen_a + gen_b, gen_a + gen_b)
 
 
 def test_certificate_json_round_trip():

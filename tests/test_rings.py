@@ -123,6 +123,14 @@ def test_gf_rejects_bad_parameters():
             gf(p, k)
 
 
+def test_quotient_algebra_rejects_non_int_expected_order():
+    for order in ("4", True, 4.0, 0):
+        with pytest.raises(InvalidSpec, match="expected_order"):
+            quotient_algebra(2, ("x",), [("x^2", "0")], "q", order)
+    assert build_ring(quotient_algebra(2, ("x",), [("x^2", "0")], "q",
+                                       4)).order == 4
+
+
 def test_product_spec_builder():
     t = build_ring(product(zmod(2), zmod(2), zmod(2)))
     assert t.order == 8
