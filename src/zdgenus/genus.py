@@ -199,7 +199,8 @@ def subgraph_lower_bound(g: SimpleGraph) -> tuple[int, str]:
     w = clique_number(g)
     best, prov = genus_complete(w), f"K_{w}"
     for m in (3, 4, 5):
-        if g.n < m + 3:
+        # a K_{m,n} here has n <= g.n - m; skip m if even that cannot win
+        if g.n < m + 3 or genus_biclique(m, g.n - m) <= best:
             continue
         n = _max_biclique_n(g, m)
         if n >= 3 and genus_biclique(m, n) > best:

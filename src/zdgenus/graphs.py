@@ -247,8 +247,11 @@ def girth(g: SimpleGraph):
     """Length of a shortest cycle, inf for forests.  Each edge is removed in
     turn and the endpoint distance in the rest gives the best cycle through
     that edge."""
+    edges = g.edges()
+    if any(g.adj[u] & g.adj[v] for u, v in edges):
+        return 3  # a triangle: no simple graph has a shorter cycle
     best = inf
-    for u, v in g.edges():
+    for u, v in edges:
         dist = _bfs_dist(g, u, skip_edge={u: v, v: u})
         if dist[v] is not inf and dist[v] + 1 < best:
             best = dist[v] + 1

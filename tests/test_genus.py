@@ -81,6 +81,8 @@ def test_subgraph_lower_bound():
     assert value == 2 and "K_8" in provenance
     value, provenance = subgraph_lower_bound(complete_multipartite(2, 2, 2, 2, 2))
     assert value == 2
+    value, provenance = subgraph_lower_bound(complete_bipartite(5, 9))
+    assert (value, provenance) == (6, "K_{5,9}")
 
 
 def test_is_planar():

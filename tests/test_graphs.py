@@ -134,6 +134,9 @@ def test_girth_values():
     assert girth(complete_graph(3)) == 3
     assert girth(complete_bipartite(2, 2)) == 4
     assert girth(make_graph(4, [(0, 1), (1, 2), (2, 3)])) == INF
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    assert girth(make_graph(5, c5)) == 5
+    assert girth(make_graph(7, c5 + [(4, 5), (5, 6), (6, 4)])) == 3
 
 
 def test_diameter_values():
