@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ring, ideals, graph, genus, verify, atlas.  Output on stdout is
-deterministic; --timing writes elapsed times to stderr only, one line per
-classification fact for verify.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error, 3 inconclusive within budget.
+deterministic; --timing writes elapsed times to stderr only: one line per
+command, or one per classification fact for verify.  --budget bounds the
+genus search and exists only on genus, verify and atlas.  Exit codes: 0
+success, 1 verification failure, 2 usage or input error, 3 inconclusive
+within budget.
 """
 
 from __future__ import annotations
@@ -191,10 +193,10 @@ def _graph_summary(g) -> dict:
 def cmd_graph(args) -> int:
     table = resolve_ring(args.ring)
     ideal = resolve_ideal(table, args.ideal)
-    if is_prime(ideal):
+    g = ideal_zero_divisor_graph(table, ideal)
+    if g.n == 0:  # for a proper ideal, exactly when it is prime
         print(f"warning: {ideal.describe()} is prime; the graph is empty",
               file=sys.stderr)
-    g = ideal_zero_divisor_graph(table, ideal)
     summary = _graph_summary(g)
     if args.format == "dot":
         head = "// " + " ".join(
@@ -331,10 +333,7 @@ def atlas_rows(max_order: int, budget: int) -> list[dict]:
 
 
 def cmd_atlas(args) -> int:
-    t0 = time.monotonic()
     rows = atlas_rows(args.max_order, args.budget)
-    if args.timing:
-        print(f"atlas: {time.monotonic() - t0:.1f}s", file=sys.stderr)
     buf = io.StringIO()
     buf.write("# zdgenus atlas format 1\n")
     writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
@@ -355,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_choices):
+    def common(p, fmt_choices, budget=False):
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--output", help="write the payload to this path")
-        p.add_argument("--budget", type=int, default=10**8,
-                       help="search budget for genus (>= 10^4)")
+        if budget:
+            p.add_argument("--budget", type=int, default=10**8,
+                           help="search budget for genus (>= 10^4)")
         p.add_argument("--timing", action="store_true",
                        help="print elapsed times to stderr")
 
@@ -382,17 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus", help="genus bounds for the graph of a pair")
     p.add_argument("ring")
     p.add_argument("ideal", help="'#k' or 'gen:a,b'")
-    common(p, ("table", "json"))
+    common(p, ("table", "json"), budget=True)
     p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("verify", help="re-verify a classification fact")
     p.add_argument("theorem", help="a TheoremId or 'all'")
-    common(p, ("table", "json"))
+    common(p, ("table", "json"), budget=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="CSV of every catalog (ring, ideal) pair")
     p.add_argument("--max-order", type=int, default=64)
-    common(p, ("csv",))
+    common(p, ("csv",), budget=True)
     p.set_defaults(func=cmd_atlas)
 
     return parser
@@ -401,17 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget < MIN_BUDGET:
+    if "budget" in args and args.budget < MIN_BUDGET:
         print(f"error: budget {args.budget} below minimum {MIN_BUDGET}",
               file=sys.stderr)
         return 2
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args)
     except BrokenPipeError:
         return 0
     except (ZdgenusError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.timing and args.command != "verify":  # verify times each fact
+        print(f"{args.command}: {time.monotonic() - t0:.1f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Ideal enumeration, quotient rings, and prime/radical structure.
 
 Ideals of a finite commutative ring are represented as bitsets over element
-indices.  Enumeration closes the set of principal ideals under pairwise
-ideal sums, which reaches every ideal since each is a finite sum of
-principal ones.  All decision procedures are exhaustive; orders are <= 64.
+indices.  In a commutative ring with 1 the principal ideal Ra is the column
+{r*a} of the multiplication table, and the sum I + J of two ideals is the
+one-step sumset {i + j}; neither needs a closure.  Every ideal is the sum of
+the principal ideals of its elements, so enumeration adds each principal
+ideal to every sum found so far, in one pass.  All decision procedures are
+exhaustive; orders are <= 64.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ class IdealSet:
         return self.mask.bit_count()
 
     def members(self) -> list[int]:
-        return [i for i in range(self.ring.order) if self.mask >> i & 1]
+        return _members(self.ring, self.mask)
 
     def contains(self, a: int) -> bool:
         return bool(self.mask >> int(a) & 1)
-
-    def labels(self) -> list[str]:
-        return [self.ring.labels[i] for i in self.members()]
 
     def is_zero(self) -> bool:
         return self.mask == 1 << self.ring.zero
@@ -54,7 +54,7 @@ class IdealSet:
             if cur >> e & 1:
                 continue
             gens.append(e)
-            cur = _sum_closure(t, cur | cyclic_ideal(t, e).mask)
+            cur = _ideal_sum(t, cur, cyclic_ideal(t, e).mask)
             if cur == self.mask:
                 break
         return [t.labels[g] for g in gens]
@@ -80,18 +80,19 @@ class IdealSet:
         return f"IdealSet({self.ring.name}, size={self.size})"
 
 
-def _sum_closure(t: RingTable, mask: int) -> int:
-    """Close a subset under pairwise addition."""
-    while True:
-        members = [i for i in range(t.order) if mask >> i & 1]
-        new = mask
-        for a in members:
-            row = t.add[a]
-            for b in members:
-                new |= 1 << int(row[b])
-        if new == mask:
-            return mask
-        mask = new
+def _members(t: RingTable, mask: int) -> list[int]:
+    return [i for i in range(t.order) if mask >> i & 1]
+
+
+def _mask(elements: np.ndarray) -> int:
+    """Bitset of an array of element indices."""
+    bits = np.left_shift(np.uint64(1), elements.astype(np.uint64).ravel())
+    return int(np.bitwise_or.reduce(bits))
+
+
+def _ideal_sum(t: RingTable, a: int, b: int) -> int:
+    """Mask of I + J = {i + j}, which is already an ideal."""
+    return _mask(t.add[np.ix_(_members(t, a), _members(t, b))])
 
 
 def validate_ideal(i: IdealSet) -> bool:
@@ -111,33 +112,16 @@ def validate_ideal(i: IdealSet) -> bool:
 
 
 def cyclic_ideal(t: RingTable, a: int) -> IdealSet:
-    """Smallest ideal containing a: additive closure of {r*a : r in R}."""
-    x = int(a)
-    mask = 0
-    for r in range(t.order):
-        mask |= 1 << int(t.mul[r, x])
-    return IdealSet(t, _sum_closure(t, mask))
+    """The principal ideal Ra: column a of the multiplication table."""
+    return IdealSet(t, _mask(t.mul[:, int(a)]))
 
 
 def enumerate_ideals(t: RingTable) -> list[IdealSet]:
     """All ideals, sorted by (size, member tuple); includes {0} and R."""
-    masks = {1 << t.zero}
-    for a in range(t.order):
-        masks.add(cyclic_ideal(t, a).mask)
-    while True:
-        fresh = set()
-        items = sorted(masks)
-        for i, m1 in enumerate(items):
-            for m2 in items[i + 1 :]:
-                u = m1 | m2
-                if u not in masks:
-                    u = _sum_closure(t, u)
-                    if u not in masks:
-                        fresh.add(u)
-        if not fresh:
-            break
-        masks |= fresh
-    ideals = [IdealSet(t, m) for m in masks]
+    sums = {1 << t.zero}
+    for p in {cyclic_ideal(t, a).mask for a in range(t.order)}:
+        sums |= {_ideal_sum(t, s, p) for s in sums if s & p != p}
+    ideals = [IdealSet(t, m) for m in sums]
     ideals.sort(key=lambda i: (i.size, tuple(i.members())))
     return ideals
 
@@ -145,8 +129,18 @@ def enumerate_ideals(t: RingTable) -> list[IdealSet]:
 def ideal_from_generators(t: RingTable, elements) -> IdealSet:
     mask = 1 << t.zero
     for a in elements:
-        mask |= cyclic_ideal(t, a).mask
-    return IdealSet(t, _sum_closure(t, mask))
+        mask = _ideal_sum(t, mask, cyclic_ideal(t, a).mask)
+    return IdealSet(t, mask)
+
+
+def maximal_ideals(t: RingTable) -> list[IdealSet]:
+    """Proper ideals not contained in any larger proper ideal."""
+    proper = [i for i in enumerate_ideals(t) if not i.is_whole()]
+    return [
+        i for i in proper
+        if not any(j.size > i.size and i.mask & j.mask == i.mask
+                   for j in proper)
+    ]
 
 
 # === Quotients ==============================================================

@@ -682,25 +682,14 @@ def additive_order(t: RingTable, a: int) -> int:
     raise AssertionError("additive order not found; table invalid")
 
 
-def maximal_ideals(t: RingTable) -> list:
-    """Proper ideals not contained in any larger proper ideal."""
-    from .ideals import enumerate_ideals
-
-    ideals = enumerate_ideals(t)
-    proper = [i for i in ideals if i.size < t.order]
-    maximal = []
-    for i in proper:
-        if not any(
-            j is not i and j.size > i.size and i.mask & j.mask == i.mask
-            for j in proper
-        ):
-            maximal.append(i)
-    return maximal
-
-
 def is_local(t: RingTable) -> bool:
-    """A ring is local when it has a single maximal ideal."""
-    return len(maximal_ideals(t)) == 1
+    """A ring is local when it has a single maximal ideal.  In a finite
+    commutative ring that holds exactly when the non-units are closed under
+    addition; they then form the maximal ideal."""
+    nonunit = np.ones(t.order, dtype=bool)
+    nonunit[units(t)] = False
+    nu = np.flatnonzero(nonunit)
+    return bool(nonunit[t.zero] and nonunit[t.add[np.ix_(nu, nu)]].all())
 
 
 # === Isomorphism search =====================================================

@@ -244,3 +244,20 @@ def test_verify_all_timing_prints_one_stderr_line_per_fact(capsys,
     assert [line.split(":")[0] for line in lines] == [
         f"verify {tid.value}" for tid in TheoremId]
     assert all(line.endswith("s") for line in lines)
+
+
+def test_timing_prints_one_stderr_line(capsys):
+    code, plain_out, plain_err = run(capsys, "ring", "Z_6")
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, "ring", "Z_6", "--timing")
+    assert code == 0
+    assert out == plain_out
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ring: ") and lines[0].endswith("s")
+
+
+def test_budget_only_on_genus_search_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "Z_6", "#0", "--budget", "10000"])
+    assert exc.value.code == 2
