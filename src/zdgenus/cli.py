@@ -2,10 +2,11 @@
 
 Subcommands: ring, ideals, graph, genus, verify, atlas.  Output on stdout is
 deterministic; --timing writes elapsed times to stderr only: one line per
-command, or one per classification fact for verify.  --budget bounds the
-genus search and exists only on genus, verify and atlas.  Exit codes: 0
-success, 1 verification failure, 2 usage or input error, 3 inconclusive
-within budget.
+command, or one per classification fact for verify, and for verify and
+atlas a last line with the genus class cache's hits and misses.  --budget
+bounds the genus search and exists only on genus, verify and atlas.  Exit
+codes: 0 success, 1 verification failure, 2 usage or input error, 3
+inconclusive within budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from .catalog import catalog_pairs, catalog_ring, find_catalog
 from .classify import INF, TheoremId, verify
 from .errors import InvalidSpec, ZdgenusError
-from .genus import certificate_to_json, exact_genus
+from .genus import GENUS_CACHE_COUNTS, certificate_to_json, exact_genus
 from .graphs import (
     export_dot,
     export_json,
@@ -406,6 +407,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     t0 = time.monotonic()
+    cache_before = dict(GENUS_CACHE_COUNTS)
     try:
         code = args.func(args)
     except BrokenPipeError:
@@ -415,6 +417,10 @@ def main(argv=None) -> int:
         return 2
     if args.timing and args.command != "verify":  # verify times each fact
         print(f"{args.command}: {time.monotonic() - t0:.1f}s", file=sys.stderr)
+    if args.timing and args.command in ("verify", "atlas"):
+        hits, misses = (GENUS_CACHE_COUNTS[k] - cache_before[k]
+                        for k in ("hits", "misses"))
+        print(f"genus cache: {hits} hits, {misses} misses", file=sys.stderr)
     return code
 
 

@@ -9,12 +9,21 @@ pair, and backtracks; placing an edge across two corners of one face splits
 the face, across two different faces merges them and raises the genus by
 one.  Iterative deepening from a certified lower bound makes the first
 completed embedding optimal.
+
+Isomorphic graphs have one genus, so exact answers of the search are kept
+per process under graphs.canonical_certificate's key, computed on the twin
+quotient.  The zero-divisor graphs repeat a few shapes, K_{1,1,1,1,8} seven
+times in the atlas, so most searched graphs are answered from this cache.
+An entry holds the rotation in canonical order and the search nodes it
+cost.  It serves a call only when the remaining budget covers that cost,
+which is charged, and its rotation, carried into the caller's labels, is
+re-traced before it is returned.  Open answers are never kept.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import inf
 
@@ -23,6 +32,7 @@ import networkx as nx
 from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
     SimpleGraph,
+    canonical_certificate,
     connected_components,
     girth,
     induced_subgraph,
@@ -472,13 +482,48 @@ class _Embedder:
 EXHAUSTIVE_EDGE_CAP = 40
 
 
+# Exact answers of connected nonplanar graphs within EXHAUSTIVE_EDGE_CAP,
+# by canonical key: the bounds with the rotation in canonical labels, and
+# the search nodes they cost.  An entry serves a call only if the call's
+# remaining budget covers that cost, and the cost is then charged, so a hit
+# spends what a search really spent.  Open answers are never stored.
+_GENUS_CACHE: dict[tuple, tuple[GenusBounds, int]] = {}
+GENUS_CACHE_COUNTS = {"hits": 0, "misses": 0}
+
+
+def _relabel(rot: RotationSystem, new: list[int] | tuple[int, ...]
+             ) -> RotationSystem:
+    """rot with every vertex v renamed new[v]."""
+    order: list[tuple[int, ...]] = [()] * len(new)
+    for v, seq in enumerate(rot.order):
+        order[new[v]] = tuple(new[w] for w in seq)
+    return RotationSystem(tuple(order))
+
+
+def _cached_genus(g: SimpleGraph, order: tuple[int, ...],
+                  entry: tuple[GenusBounds, int], spent: list[int]
+                  ) -> GenusBounds:
+    """A cache entry carried into g's labels and re-traced."""
+    bounds, nodes = entry
+    spent[0] -= nodes
+    rot = _relabel(bounds.certificate.rotation, order)
+    faces, gen = face_trace(g, rot)
+    if gen != bounds.upper:
+        raise ZdgenusError(f"cached embedding traced to genus {gen}, "
+                           f"cached genus {bounds.upper}")
+    return replace(bounds, certificate=EmbeddingCertificate(rot, faces, gen))
+
+
 def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
     """Certified genus bounds; exact with an embedding certificate whenever
     the exhaustive search is allowed to finish.
 
     Disconnected input is handled per component and summed, and all
     components draw on the one search budget.  Graphs with more than
-    EXHAUSTIVE_EDGE_CAP edges get bounds only."""
+    EXHAUSTIVE_EDGE_CAP edges get bounds only.  A connected nonplanar graph
+    isomorphic to one already settled in this process is answered from the
+    class cache: its rotation carried through the canonical order and
+    re-traced by face_trace."""
     return _exact_genus(g, [budget])
 
 
@@ -507,6 +552,30 @@ def _exact_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
             raise ZdgenusError(f"planar embedding traced to genus {gen}")
         return GenusBounds(0, 0, ("planar embedding",),
                            EmbeddingCertificate(rot, faces, 0))
+    if g.m > EXHAUSTIVE_EDGE_CAP:
+        return _search_genus(g, spent)
+    form = canonical_certificate(g)
+    entry = _GENUS_CACHE.get(form.key)
+    if entry is not None and spent[0] >= entry[1]:
+        GENUS_CACHE_COUNTS["hits"] += 1
+        return _cached_genus(g, form.order, entry, spent)
+    GENUS_CACHE_COUNTS["misses"] += 1
+    before = spent[0]
+    bounds = _search_genus(g, spent)
+    if bounds.exact:
+        cert = bounds.certificate
+        rank = [0] * g.n
+        for k, v in enumerate(form.order):
+            rank[v] = k
+        canon = replace(cert, rotation=_relabel(cert.rotation, rank))
+        _GENUS_CACHE[form.key] = (replace(bounds, certificate=canon),
+                                  before - spent[0])
+    return bounds
+
+
+def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
+    """Lower bounds, then the exhaustive search from the best of them, for
+    a connected nonplanar graph."""
     lb, prov = 1, ["nonplanar"]
     cb, cp = closed_form_bound(g)
     if cb > lb:

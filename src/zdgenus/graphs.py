@@ -9,7 +9,7 @@ clique and biclique searches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import inf
 
@@ -363,6 +363,49 @@ def export_json(g: SimpleGraph) -> str:
 # === Isomorphism ============================================================
 
 
+@dataclass(frozen=True)
+class TwinQuotient:
+    """The twin classes of a graph and the graph they induce.
+
+    A class is a set of false twins (equal open neighbourhoods, an
+    independent set) or of true twins (equal closed neighbourhoods, a
+    clique); a vertex without twins is a class of its own and counts as
+    independent.  Two classes are joined completely or not at all, so the
+    quotient graph, one vertex per class, together with each class's size
+    and mark gives the graph back up to isomorphism."""
+
+    graph: SimpleGraph
+    classes: tuple[tuple[int, ...], ...]
+    clique: tuple[bool, ...]
+
+
+def twin_quotient(g: SimpleGraph) -> TwinQuotient:
+    """Twin classes in order of their least vertex, members increasing.
+
+    No vertex has both a false and a true twin: a true twin w of v lies in
+    N(v) = N(u) for a false twin u, so u lies in N[w] = N[v], yet u and v
+    are not adjacent.  The classes therefore partition the vertices."""
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_open.setdefault(g.adj[v], []).append(v)
+        by_closed.setdefault(g.adj[v] | 1 << v, []).append(v)
+    cls = [-1] * g.n
+    classes, clique = [], []
+    for v in range(g.n):
+        if cls[v] >= 0:
+            continue
+        true_twins = by_closed[g.adj[v] | 1 << v]
+        members = true_twins if len(true_twins) > 1 else by_open[g.adj[v]]
+        for u in members:
+            cls[u] = len(classes)
+        classes.append(tuple(members))
+        clique.append(len(true_twins) > 1)
+    edges = {(cls[u], cls[v]) for u, v in g.edges() if cls[u] != cls[v]}
+    return TwinQuotient(make_graph(len(classes), sorted(edges)),
+                        tuple(classes), tuple(clique))
+
+
 def _refine(g: SimpleGraph, colors: list[int]) -> list[int]:
     """Stable neighborhood-color refinement."""
     while True:
@@ -377,45 +420,89 @@ def _refine(g: SimpleGraph, colors: list[int]) -> list[int]:
         colors = new
 
 
-def canonical_certificate(g: SimpleGraph) -> tuple:
-    """Canonical form of the unlabeled graph: edge set minimized over all
-    orderings compatible with iterated color refinement.  Capped at 40
-    vertices since the search is exponential in the worst case."""
-    if g.n > 40:
-        raise TooLarge(f"canonical form capped at 40 vertices, got {g.n}")
-    best: list[tuple[int, int]] | None = None
+@dataclass(frozen=True)
+class CanonicalForm:
+    """key is equal for two graphs exactly when they are isomorphic.  order
+    lists the vertices canonically: for isomorphic g and h, the map from
+    g's order[k] to h's order[k] is an isomorphism.  Forms compare and hash
+    by key alone."""
 
-    def ordered_edges(perm: list[int]) -> list[tuple[int, int]]:
-        rank = {v: i for i, v in enumerate(perm)}
-        return sorted(
-            (min(rank[u], rank[v]), max(rank[u], rank[v]))
-            for u, v in g.edges()
-        )
+    key: tuple
+    order: tuple[int, ...] = field(compare=False)
+
+
+def canonical_certificate(g: SimpleGraph) -> CanonicalForm:
+    """Canonical form by individualisation and refinement (McKay & Piperno,
+    *Practical graph isomorphism II*, 2014) on the twin quotient, with
+    initial colours from each class's (size, mark).
+
+    The key is the least (class weights, quotient edges) over the leaf
+    orderings of the search; automorphisms found at equal leaves prune the
+    branches they map onto explored ones.  The order lists the classes of
+    that ordering, members of a class by increasing index: twins can be
+    swapped by an automorphism.  Capped at 40 twin classes, since the
+    search is exponential in the worst case."""
+    tq = twin_quotient(g)
+    q = tq.graph
+    if q.n > 40:
+        raise TooLarge(f"canonical form capped at 40 twin classes, got {q.n}")
+    weight = [(len(c), mark) for c, mark in zip(tq.classes, tq.clique)]
+    best_key: tuple | None = None
+    best_leaf: list[int] = []
+    automorphisms: list[list[int]] = []
+
+    def leaf(prefix: list[int]):
+        nonlocal best_key, best_leaf
+        rank = {v: i for i, v in enumerate(prefix)}
+        cand = (tuple(weight[v] for v in prefix),
+                tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v]))
+                             for u, v in q.edges())))
+        if best_key is None or cand < best_key:
+            best_key, best_leaf = cand, prefix
+        elif cand == best_key:
+            gamma = [0] * q.n
+            for u, v in zip(best_leaf, prefix):
+                gamma[u] = v
+            automorphisms.append(gamma)
+
+    def orbit(start: list[int], prefix: list[int]) -> set[int]:
+        """start's orbit under the found automorphisms fixing prefix."""
+        gens = [a for a in automorphisms if all(a[p] == p for p in prefix)]
+        seen, todo = set(start), list(start)
+        while todo:
+            v = todo.pop()
+            for a in gens:
+                if a[v] not in seen:
+                    seen.add(a[v])
+                    todo.append(a[v])
+        return seen
 
     def place(colors: list[int], prefix: list[int]):
-        nonlocal best
-        if len(prefix) == g.n:
-            cand = ordered_edges(prefix)
-            if best is None or cand < best:
-                best = cand
+        if len(prefix) == q.n:
+            leaf(prefix)
             return
         cells: dict[int, list[int]] = {}
         placed = set(prefix)
-        for v in range(g.n):
+        for v in range(q.n):
             if v not in placed:
                 cells.setdefault(colors[v], []).append(v)
         target = min(cells.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
         if len(target) == 1:
-            v = target[0]
-            place(colors, prefix + [v])
+            place(colors, prefix + target)
             return
+        tried: list[int] = []
         for v in target:
+            if tried and v in orbit(tried, prefix):
+                continue
+            tried.append(v)
             forced = list(colors)
             forced[v] = -1 - len(prefix)
-            place(_refine(g, forced), prefix + [v])
+            place(_refine(q, forced), prefix + [v])
 
-    place(_refine(g, [0] * g.n), [])
-    return (g.n, tuple(best if best is not None else []))
+    palette = {w: i for i, w in enumerate(sorted(set(weight)))}
+    place(_refine(q, [palette[w] for w in weight]), [])
+    return CanonicalForm(best_key, tuple(v for c in best_leaf
+                                         for v in tq.classes[c]))
 
 
 def graph_iso(g: SimpleGraph, h: SimpleGraph) -> bool:

@@ -430,7 +430,9 @@ class _QuotientEngine:
         return out
 
 
-def _build_quotient(spec: RingSpec) -> RingTable:
+def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
+    """The table of Z_n[vars] modulo the rewrite rules, and the index of
+    each variable's image."""
     eng = _QuotientEngine(spec)
     basis = eng.basis()
     moduli = [eng.modulus(m) for m in basis]
@@ -468,15 +470,17 @@ def _build_quotient(spec: RingSpec) -> RingTable:
             pb = polys[b]
             add[a, b] = add[b, a] = encode(
                 eng.normal_form(_poly_add(pa, pb, eng.n)))
-            nf = eng.normal_form(_poly_mul(pa, pb, eng.n))
-            for m in nf:
-                if m not in basis:
-                    raise NonConfluentPresentation(
-                        f"{spec.name}: normal form escapes the monomial basis"
-                    )
-            mul[a, b] = mul[b, a] = encode(nf)
+            # a normal form is irreducible with every coefficient nonzero
+            # mod its monomial's modulus, and every such monomial is in
+            # the basis, since its divisors are irreducible with a modulus
+            # at least its own
+            mul[a, b] = mul[b, a] = encode(
+                eng.normal_form(_poly_mul(pa, pb, eng.n)))
     labels = tuple(_poly_label(p, spec.variables) for p in polys)
     one = encode(eng.normal_form({(0,) * eng.nv: 1}))
+    degree_one = [tuple(int(i == j) for j in range(eng.nv))
+                  for i in range(eng.nv)]
+    images = [encode(eng.normal_form({m: 1})) for m in degree_one]
     return RingTable(
         order=order,
         add=add,
@@ -486,7 +490,63 @@ def _build_quotient(spec: RingSpec) -> RingTable:
         labels=labels,
         name=spec.name,
         spec=spec,
-    )
+    ), images
+
+
+def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
+    """Raise NonConfluentPresentation unless t is the ring spec presents.
+
+    The rewrite rules fall short when rules with one leading monomial
+    disagree: Z_2[x]/(x, x - 1) is the zero ring, but rewriting x by the
+    first rule alone builds Z_2.  If n·1 = 0 in t, every relation holds at
+    the variables' images, and the images generate t, then sending each
+    variable to its image maps the presented ring R onto t.  The normal
+    forms are sound rewrites in R, so |R| <= |t|, and the map is an
+    isomorphism."""
+
+    def evaluate(poly: dict) -> int:
+        total = t.zero
+        for mono, c in poly.items():
+            term = t.one
+            for x, e in zip(images, mono):
+                term = int(t.mul[term, _table_power(t, x, e)])
+            for _ in range(c):
+                total = int(t.add[total, term])
+        return total
+
+    if evaluate({(0,) * len(images): spec.n}) != t.zero:
+        raise NonConfluentPresentation(f"{spec.name}: {spec.n}·1 is not 0")
+    for rule in spec.relations:
+        lhs = _parse_poly(rule.lhs, spec.variables, spec.n)
+        rhs = _parse_poly(rule.rhs, spec.variables, spec.n)
+        if evaluate(lhs) != evaluate(rhs):
+            raise NonConfluentPresentation(
+                f"{spec.name}: relation {rule.lhs} = {rule.rhs} fails in "
+                "the built table; its rewrite rules disagree")
+    have = np.zeros(t.order, dtype=bool)
+    have[[t.zero, t.one, *images]] = True
+    while True:
+        idx = np.flatnonzero(have)
+        grown = have.copy()
+        grown[t.add[np.ix_(idx, idx)].ravel()] = True
+        grown[t.mul[np.ix_(idx, idx)].ravel()] = True
+        if (grown == have).all():
+            break
+        have = grown
+    if not have.all():
+        raise NonConfluentPresentation(
+            f"{spec.name}: the variables do not generate the built table")
+
+
+def _table_power(t: RingTable, x: int, e: int) -> int:
+    """x**e in t by square and multiply; relation exponents may be large."""
+    out = t.one
+    while e:
+        if e & 1:
+            out = int(t.mul[out, x])
+        e >>= 1
+        x = int(t.mul[x, x])
+    return out
 
 
 # === Ring construction ======================================================
@@ -552,6 +612,7 @@ def build_ring(spec: RingSpec) -> RingTable:
     """Construct and validate the table for a ring presentation."""
     if not isinstance(spec, RingSpec):
         raise InvalidSpec(f"expected a RingSpec, got {type(spec).__name__}")
+    presented = None  # (quotient spec, variable images) of a quotient table
     if spec.kind == "zmod":
         if spec.n is None or spec.n < 2:
             raise InvalidSpec("zmod requires n >= 2")
@@ -569,14 +630,16 @@ def build_ring(spec: RingSpec) -> RingTable:
             inner = quotient_algebra(
                 spec.p, ("a",), _GF_RELATIONS[key], name=spec.name
             )
-            table = _build_quotient(inner)
+            table, images = _build_quotient(inner)
             table.spec = spec
+            presented = inner, images
     elif spec.kind == "product":
         table = product_tables(*(build_ring(f) for f in spec.factors),
                                name=spec.name)
         table.spec = spec
     elif spec.kind == "quotient":
-        table = _build_quotient(spec)
+        table, images = _build_quotient(spec)
+        presented = spec, images
     else:
         raise InvalidSpec(f"unknown ring kind {spec.kind!r}")
 
@@ -586,6 +649,8 @@ def build_ring(spec: RingSpec) -> RingTable:
             f"{spec.name}: table fails axioms: "
             + "; ".join(name for name, _ in report.violations)
         )
+    if presented is not None:
+        _check_presentation(table, *presented)
     if spec.expected_order is not None and table.order != spec.expected_order:
         raise NonConfluentPresentation(
             f"{spec.name}: built order {table.order}, "

@@ -6,6 +6,7 @@ exit codes, and any files the command writes.
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,18 @@ def test_bad_spec_json_exits_2(spec, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_disagreeing_presentation_exits_2(capsys, tmp_path):
+    # Z_2[x]/(x, x - 1) is the zero ring, not a ring of order 2
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(
+        {"kind": "quotient", "base": 2, "variables": ["x"],
+         "relations": [["x", "0"], ["x", "1"]]}), encoding="utf-8")
+    code, out, err = run(capsys, "ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "x = 1" in err
 
 
 @pytest.mark.parametrize("command", ["ring", "ideals"])
@@ -239,11 +252,26 @@ def test_verify_all_timing_prints_one_stderr_line_per_fact(capsys,
     code, out, err = run(capsys, "verify", "all", "--timing")
     assert code == 0
     assert out == plain_out
-    lines = err.splitlines()
+    *lines, cache = err.splitlines()
     assert len(lines) == len(TheoremId) == 20
     assert [line.split(":")[0] for line in lines] == [
         f"verify {tid.value}" for tid in TheoremId]
     assert all(line.endswith("s") for line in lines)
+    assert cache == "genus cache: 0 hits, 0 misses"
+
+
+def test_atlas_timing_prints_genus_cache_counts(capsys):
+    code, plain_out, plain_err = run(capsys, "atlas", "--max-order", "16")
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, "atlas", "--max-order", "16", "--timing")
+    assert code == 0
+    assert out == plain_out
+    timing, cache = err.splitlines()
+    assert timing.startswith("atlas: ") and timing.endswith("s")
+    hits, misses = map(int, re.fullmatch(
+        r"genus cache: (\d+) hits, (\d+) misses", cache).groups())
+    # the first run filled the cache, so every searched graph is a hit
+    assert hits > 0 and misses == 0
 
 
 def test_timing_prints_one_stderr_line(capsys):
