@@ -10,6 +10,14 @@ the face, across two different faces merges them and raises the genus by
 one.  Iterative deepening from a certified lower bound makes the first
 completed embedding optimal.
 
+Planarity is decided here, with no graph library: an Euler edge count,
+then each biconnected block by the path-addition test of Demoucron,
+Malgrange & Pertuiset.  Both verdicts are checked where exact_genus uses
+them.  A planar verdict comes with a rotation system that face_trace must
+trace to genus 0.  A nonplanar verdict that is the only source of the lower
+bound 1 is backed by a Kuratowski witness, a subdivision of K_5 or K_{3,3}
+found by edge deletion and verified by check_kuratowski.
+
 Isomorphic graphs have one genus, so exact answers of the search are kept
 per process under graphs.canonical_certificate's key, computed on the twin
 quotient.  The zero-divisor graphs repeat a few shapes, K_{1,1,1,1,8} seven
@@ -27,8 +35,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import inf
 
-import networkx as nx
-
 from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
     SimpleGraph,
@@ -38,6 +44,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     clique_number,
+    make_graph,
     remove_vertices,
 )
 
@@ -94,24 +101,247 @@ def genus_biclique(m: int, n: int) -> int:
 # === Planarity ==============================================================
 
 
-def _to_nx(g: SimpleGraph) -> nx.Graph:
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n))
-    gx.add_edges_from(g.edges())
-    return gx
-
-
 def is_planar(g: SimpleGraph) -> bool:
     return planar_rotation(g) is not None
 
 
 def planar_rotation(g: SimpleGraph) -> RotationSystem | None:
-    """Rotation system of a planar embedding; None if g is not planar."""
-    ok, emb = nx.check_planarity(_to_nx(g))
-    if not ok:
+    """Rotation system of a planar embedding; None if g is not planar.
+
+    Each biconnected block is embedded on its own (_block_faces) and the
+    blocks' rotations are joined at cut vertices by concatenation, which
+    puts each block into one corner of the others."""
+    if g.n >= 3 and g.m > 3 * g.n - 6:
         return None
-    data = emb.get_data()
-    return RotationSystem(tuple(tuple(data[v]) for v in range(g.n)))
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    order: list[list[int]] = [[] for _ in range(g.n)]
+    for block in _blocks(nbrs):
+        if len(block) == 1:
+            (u, v), = block
+            order[u].append(v)
+            order[v].append(u)
+            continue
+        faces = _block_faces(block)
+        if faces is None:
+            return None
+        # a face ... u, v, w ... puts w after u in v's rotation, the
+        # convention face_trace walks
+        succ = {}
+        for f in faces:
+            for i, v in enumerate(f):
+                succ[v, f[i - 1]] = f[(i + 1) % len(f)]
+        for v, start in {v: u for v, u in succ}.items():
+            w = start
+            while True:
+                order[v].append(w)
+                w = succ[v, w]
+                if w == start:
+                    break
+    return RotationSystem(tuple(tuple(seq) for seq in order))
+
+
+def _blocks(nbrs: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Edge lists of the biconnected blocks, by an iterative Hopcroft-Tarjan
+    depth-first pass with an edge stack."""
+    disc = [-1] * len(nbrs)
+    low = [0] * len(nbrs)
+    blocks = []
+    clock = 0
+    for root in range(len(nbrs)):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(nbrs[root]))]
+        edges: list[tuple[int, int]] = []
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    edges.append((v, w))
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(nbrs[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        k = edges.index((u, v))
+                        blocks.append(edges[k:])
+                        del edges[k:]
+    return blocks
+
+
+def _block_faces(edges: list[tuple[int, int]]) -> list[list[int]] | None:
+    """Faces of a plane embedding of a biconnected block with a cycle, each
+    an oriented vertex cycle; None if the block is nonplanar.
+
+    The path-addition test of Demoucron, Malgrange & Pertuiset (1964):
+    start from a cycle; a fragment of the rest is an unplaced edge between
+    placed vertices, or a component of the unplaced vertices with its edges
+    to the placed ones, and a face admits it when the face holds all its
+    contact vertices.  A fragment no face admits makes the block
+    nonplanar; otherwise a contact-to-contact path of a fragment with the
+    fewest admissible faces is drawn across one of them, splitting it."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if len(edges) > 3 * len(adj) - 6:
+        return None
+    a, b = edges[0]
+    prev = {b: b}
+    queue = [b]
+    for x in queue:
+        for y in adj[x]:
+            if y not in prev and (x, y) != (b, a):
+                prev[y] = x
+                queue.append(y)
+    cycle = [a]
+    while cycle[-1] != b:
+        cycle.append(prev[cycle[-1]])
+    faces = [cycle, cycle[::-1]]
+    masks = [_mask(cycle)] * 2
+    placed = masks[0]
+    drawn = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    while len(drawn) < len(edges):
+        best = None
+        for contacts, chord, comp in _fragments(adj, placed, drawn):
+            fit = [k for k, fm in enumerate(masks) if contacts & ~fm == 0]
+            if not fit:
+                return None
+            if best is None or len(fit) < len(best[0]):
+                best = fit, chord, comp
+                if len(fit) == 1:
+                    break
+        fit, chord, comp = best
+        path = chord or _bridge_path(adj, placed, comp)
+        k = fit[0]
+        face = faces[k]
+        i, j = face.index(path[0]), face.index(path[-1])
+        one = face[i:j + 1] if i < j else face[i:] + face[:j + 1]
+        two = face[j:i + 1] if j < i else face[j:] + face[:i + 1]
+        one += path[-2:0:-1]
+        two += path[1:-1]
+        faces[k], masks[k] = one, _mask(one)
+        faces.append(two)
+        masks.append(_mask(two))
+        placed |= _mask(path)
+        drawn.update(frozenset(e) for e in zip(path, path[1:]))
+    return faces
+
+
+def _mask(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
+
+
+def _fragments(adj, placed: int, drawn: set):
+    """(contact mask, chord, component) per fragment of a partly placed
+    block: a chord [u, w] with no component, or None and the component's
+    vertices."""
+    for u, ws in adj.items():
+        if placed >> u & 1:
+            for w in ws:
+                if u < w and placed >> w & 1 and frozenset((u, w)) not in drawn:
+                    yield (1 << u) | (1 << w), [u, w], None
+    seen = placed
+    for s in adj:
+        if seen >> s & 1:
+            continue
+        seen |= 1 << s
+        comp = [s]
+        contacts = 0
+        for x in comp:
+            for y in adj[x]:
+                if placed >> y & 1:
+                    contacts |= 1 << y
+                elif not seen >> y & 1:
+                    seen |= 1 << y
+                    comp.append(y)
+        yield contacts, None, comp
+
+
+def _bridge_path(adj, placed: int, comp: list[int]) -> list[int]:
+    """A path from one contact of a component through it to another."""
+    start = next(x for x in comp if any(placed >> y & 1 for y in adj[x]))
+    first = next(y for y in adj[start] if placed >> y & 1)
+    inside = _mask(comp)
+    prev = {start: None}
+    queue = [start]
+    for x in queue:
+        for y in adj[x]:
+            if inside >> y & 1:
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+            elif y != first and placed >> y & 1:
+                path = [y]
+                while x is not None:
+                    path.append(x)
+                    x = prev[x]
+                return path + [first]
+    raise ZdgenusError("block fragment with a single contact vertex")
+
+
+def kuratowski_subdivision(g: SimpleGraph) -> list[tuple[int, int]]:
+    """Edges of a minimal nonplanar subgraph of a nonplanar g, by deleting
+    each edge whose removal leaves the graph nonplanar: at most m planarity
+    tests.  By Kuratowski's theorem it is a subdivision of K_5 or K_{3,3},
+    which check_kuratowski verifies."""
+    keep = g.edges()
+    for e in g.edges():
+        trial = [f for f in keep if f != e]
+        if not is_planar(make_graph(g.n, trial)):
+            keep = trial
+    return keep
+
+
+def check_kuratowski(g: SimpleGraph, edges: list[tuple[int, int]]) -> str:
+    """'K_5' or 'K_{3,3}' when edges, all edges of g, form a subdivision of
+    that graph; raises ZdgenusError otherwise.  Linear in len(edges):
+    walk every branch-to-branch path once from each end."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        if not g.has_edge(u, v):
+            raise ZdgenusError(f"witness pair ({u},{v}) is not an edge")
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    if len({frozenset(e) for e in edges}) != len(edges):
+        raise ZdgenusError("witness lists an edge twice")
+    branch = [v for v, ws in nbrs.items() if len(ws) != 2]
+    links: dict[int, set[int]] = {v: set() for v in branch}
+    walked = 0
+    for s in branch:
+        for x in nbrs[s]:
+            prev = s
+            walked += 1
+            while len(nbrs[x]) == 2:
+                a, b = nbrs[x]
+                prev, x = x, b if a == prev else a
+                walked += 1
+            if x == s or x in links[s]:
+                raise ZdgenusError("witness paths do not join distinct "
+                                   "branch vertices once")
+            links[s].add(x)
+    if walked != 2 * len(edges):
+        raise ZdgenusError("witness has a cycle without branch vertices")
+    degrees = sorted(len(ws) for ws in links.values())
+    if degrees == [4] * 5:
+        return "K_5"
+    if degrees == [3] * 6:
+        side = links[branch[0]]
+        if all(links[v] == side for v in branch if v not in side):
+            return "K_{3,3}"
+    raise ZdgenusError("witness is not a subdivision of K_5 or K_{3,3}")
 
 
 # === Face tracing ===========================================================
@@ -578,6 +808,9 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
     a connected nonplanar graph."""
     lb, prov = 1, ["nonplanar"]
     cb, cp = closed_form_bound(g)
+    if cb == 0:
+        # nothing but the planarity verdict gives the bound 1: check it
+        check_kuratowski(g, kuratowski_subdivision(g))
     if cb > lb:
         lb, prov = cb, [cp]
     if g.n <= 20:
@@ -628,8 +861,8 @@ def certificate_to_json(g: SimpleGraph, cert: EmbeddingCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> EmbeddingCertificate:
-    data = json.loads(text)
     try:
+        data = json.loads(text)
         if data["format"] != CERTIFICATE_FORMAT:
             raise InvalidSpec(f"unknown certificate format {data['format']!r}")
         rot = RotationSystem(

@@ -24,7 +24,7 @@ from zdgenus import (
 )
 from zdgenus.classify import attached_k4_graph
 from zdgenus import genus as genus_module
-from zdgenus.errors import HypothesisNotMet, ZdgenusError
+from zdgenus.errors import HypothesisNotMet, InvalidSpec, ZdgenusError
 from zdgenus.genus import planar_rotation
 
 K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
@@ -222,6 +222,19 @@ def test_certificate_json_round_trip():
     assert back.genus == 1 and back.faces == 5
     faces, genus = face_trace(g, back.rotation)
     assert (faces, genus) == (back.faces, back.genus)
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[]",
+    '{"format": "zdgenus-embedding-0"}',
+    '{"format": "zdgenus-embedding-1", "faces": 5, "genus": 1}',
+    '{"format": "zdgenus-embedding-1", "faces": 5, "genus": 1,'
+    ' "rotation": [["a"]]}',
+])
+def test_malformed_certificate_json_raises_invalid_spec(text):
+    with pytest.raises(InvalidSpec):
+        certificate_from_json(text)
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5)],

@@ -21,28 +21,50 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
+def imported_at(path, module):
+    """Lines of path that import module or one of its submodules."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == module for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == module
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_computer_algebra_imports(path):
     """Relation strings are parsed by an AST walk in rings.py; sympy is a
     test-only dependency and must not come back into the runtime."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        and any(a.name.split(".")[0] == "sympy" for a in node.names)
-        or isinstance(node, ast.ImportFrom)
-        and (node.module or "").split(".")[0] == "sympy"
-    ]
+    lines = imported_at(path, "sympy")
     assert not lines, f"{path.name}: sympy imported at lines {lines}"
 
 
-def test_cli_import_leaves_sympy_unloaded():
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_graph_library_imports(path):
+    """Planarity is decided in genus.py; networkx is the test oracle only."""
+    lines = imported_at(path, "networkx")
+    assert not lines, f"{path.name}: networkx imported at lines {lines}"
+
+
+def cli_import_loads(module):
+    """'True' or 'False': whether importing zdgenus.cli in a fresh
+    interpreter loads module."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, zdgenus.cli; print('sympy' in sys.modules)"],
+         f"import sys, zdgenus.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    assert cli_import_loads("sympy") == "False"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    assert cli_import_loads("networkx") == "False"
