@@ -53,8 +53,8 @@ def z32_at_8():
 
 
 def plain_search(g, budget=10**9):
-    """(provenance, rotation, nodes) of the plain search, level by level
-    from the certified level; None if budget runs out."""
+    """(genus, provenance, rotation, nodes) of the plain search, level by
+    level from the certified level; None if budget runs out."""
     level, prov = genus_module._certified_level(g)
     spent = [budget]
     emb = genus_module._Embedder(g, spent)
@@ -65,7 +65,7 @@ def plain_search(g, budget=10**9):
     except genus_module._OutOfBudget:
         return None
     prov.append(f"embedded at genus {level}")
-    return tuple(prov), emb.found, budget - spent[0]
+    return level, tuple(prov), emb.found, budget - spent[0]
 
 
 def arms_search(g):
@@ -127,18 +127,17 @@ def test_arms_match_the_plain_search_on_catalog_classes(searched_classes):
     assert len(searched_classes) == 22
     shapes = {(g.n, g.m) for g, _ in searched_classes}
     assert {(12, 38), (10, 40)} <= shapes
-    for g, (prov, _, _) in searched_classes:
+    for g, (level, prov, _, _) in searched_classes:
         b = exact_genus(g)
-        level = int(prov[-1].split()[-1])
         assert (b.lower, b.upper, b.provenance) == (level, level, prov)
         assert face_trace(g, b.certificate.rotation)[1] == level
 
 
 def test_classes_settled_within_the_cap_keep_rotation_and_nodes(
         searched_classes):
-    within = [(g, ref) for g, ref in searched_classes if ref[2] <= CAP]
+    within = [(g, ref) for g, ref in searched_classes if ref[3] <= CAP]
     assert len(within) == 20  # all but K_{1,1,1,1,8} and K_{2,2,2,2,2}
-    for g, (prov, rot, nodes) in within:
+    for g, (_, prov, rot, nodes) in within:
         b, spent = arms_search(g)
         assert (b.provenance, b.certificate.rotation, spent) == (
             prov, rot, nodes)
@@ -217,10 +216,9 @@ def test_arms_match_the_plain_search_on_drawn_graphs(g, cap):
     assume(not is_planar(g))
     ref = plain_search(g, 2 * 10**4)
     assume(ref is not None)
-    prov, rot, nodes = ref
+    level, prov, rot, nodes = ref
     with restart_nodes(cap):
         b, spent = arms_search(g)
-    level = int(prov[-1].split()[-1])
     assert (b.lower, b.upper, b.provenance) == (level, level, prov)
     assert face_trace(g, b.certificate.rotation) == (b.certificate.faces,
                                                      level)
