@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import json
+import weakref
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .catalog import catalog_entries, catalog_pairs, catalog_ring
@@ -143,31 +144,55 @@ def synthesize(target: RingTable, size: int) -> tuple[RingTable, IdealSet]:
     return table, IdealSet(table, (1 << size) - 1)
 
 
-def _graph_of(target_name: str, size: int) -> tuple[SimpleGraph, str]:
+@dataclass(frozen=True)
+class _Instance:
+    """The subject of one report: ring, ideal, ideal size and quotient names,
+    and the graph whose invariants the report carries."""
+
+    ring: str
+    ideal: str
+    ideal_size: int
+    quotient: str
+    graph: SimpleGraph
+
+    @cached_property
+    def graph_fields(self) -> dict:
+        """The report's graph fields, computed once per instance."""
+        return {"graph_order": self.graph.n, **invariants(self.graph)}
+
+
+@lru_cache(maxsize=None)
+def _synthesized(target_name: str, size: int) -> _Instance:
+    """The synthesized pair (target x Z_size, 0 x Z_size) as an instance,
+    built once and shared by every fact that reports on it."""
     table, ideal = synthesize(catalog_ring(target_name), size)
-    return ideal_zero_divisor_graph(table, ideal), table.name
+    return _Instance(table.name, f"0×Z_{size}", size, target_name,
+                     ideal_zero_divisor_graph(table, ideal))
 
 
 def _report(
     theorem: TheoremId,
-    ring: str,
-    ideal: str,
-    ideal_size: int,
-    quotient_name: str,
-    g: SimpleGraph,
+    inst: _Instance,
     verdict: bool,
     fact: bool,
     detail: str,
+    bounds: GenusBounds | None = None,
     lower: int | None = None,
-    upper: int | None = None,
     inconclusive: bool = False,
 ) -> ClassificationReport:
+    """One report on inst.  The genus fields come from bounds when given,
+    open when the search left the upper bound unknown; otherwise from the
+    lower bound alone."""
+    upper = None
+    if bounds is not None:
+        lower, upper = bounds.lower, bounds.upper
+        inconclusive = upper is None
     return ClassificationReport(
         theorem=theorem.value,
-        ring=ring,
-        ideal=ideal,
-        ideal_size=ideal_size,
-        quotient=quotient_name,
+        ring=inst.ring,
+        ideal=inst.ideal,
+        ideal_size=inst.ideal_size,
+        quotient=inst.quotient,
         genus_lower=lower,
         genus_upper=upper,
         verdict=verdict,
@@ -175,16 +200,8 @@ def _report(
         agreement=(verdict == fact) and not inconclusive,
         inconclusive=inconclusive,
         detail=detail,
-        graph_order=g.n,
-        **invariants(g),
+        **inst.graph_fields,
     )
-
-
-def _genus_fields(b: GenusBounds) -> dict:
-    """_report's genus fields from exact_genus bounds: open when the search
-    left the upper bound unknown."""
-    return {"lower": b.lower, "upper": b.upper,
-            "inconclusive": b.upper is None}
 
 
 def _lower_bound_ge2(g: SimpleGraph, budget: int) -> tuple[int | None, str]:
@@ -207,22 +224,34 @@ def _lower_bound_ge2(g: SimpleGraph, budget: int) -> tuple[int | None, str]:
 
 
 def _lower_bound_report(
-    theorem: TheoremId, ring: str, ideal: str, ideal_size: int,
-    quotient_name: str, g: SimpleGraph, budget: int, detail: str,
+    theorem: TheoremId, inst: _Instance, budget: int, detail: str,
     verdict: bool = True, claims_ge2: bool = True,
 ) -> ClassificationReport:
-    """Report on the claim that g has genus at least 2 (claims_ge2) or at
-    most 1 (not claims_ge2), observed through _lower_bound_ge2; the bound's
-    provenance is appended to detail.  Open when no bound is certified."""
-    lo, prov = _lower_bound_ge2(g, budget)
+    """Report on the claim that inst's graph has genus at least 2
+    (claims_ge2) or at most 1 (not claims_ge2), observed through
+    _lower_bound_ge2; the bound's provenance is appended to detail.  Open
+    when no bound is certified."""
+    lo, prov = _lower_bound_ge2(inst.graph, budget)
     ge2 = lo is not None and lo >= 2
-    return _report(theorem, ring, ideal, ideal_size, quotient_name, g,
-                   verdict, ge2 == claims_ge2, detail + prov, lo, None,
-                   lo is None)
+    return _report(theorem, inst, verdict, ge2 == claims_ge2, detail + prov,
+                   lower=lo, inconclusive=lo is None)
 
 
-def _zero_ideal(t: RingTable) -> IdealSet:
-    return IdealSet(t, 1 << t.zero)
+# weak keys, so that a table the caller drops is not kept alive here
+_IDENTITIES: weakref.WeakKeyDictionary[RingTable, str] = (
+    weakref.WeakKeyDictionary())
+
+
+def _catalog_identity(table: RingTable) -> str:
+    """Name of the first catalog ring isomorphic to table, or "other".  Two
+    tables are isomorphic when they share an identity other than "other",
+    so a catalog ring is recognised by comparing identities."""
+    if table not in _IDENTITIES:
+        _IDENTITIES[table] = next(
+            (e.name for e in catalog_entries()
+             if catalog_ring(e.name).order == table.order
+             and iso_check(table, catalog_ring(e.name))), "other")
+    return _IDENTITIES[table]
 
 
 # === Predicates =============================================================
@@ -263,7 +292,7 @@ _CLIQUE3_TARGETS: tuple[str, ...] = (
 
 def _z2_cross_field_order(t: RingTable) -> int | None:
     """Field order q when t is isomorphic to Z_2 x F_q, else None."""
-    zero = _zero_ideal(t)
+    zero = IdealSet(t, 1 << t.zero)
     if not is_radical(zero):
         return None
     primes = minimal_primes_over(zero)
@@ -275,6 +304,12 @@ def _z2_cross_field_order(t: RingTable) -> int | None:
     return None
 
 
+def _is_listed(table: RingTable, names: tuple[str, ...]) -> bool:
+    """Whether table is isomorphic to one of the named catalog rings."""
+    identity = _catalog_identity(table)
+    return any(_catalog_identity(catalog_ring(n)) == identity for n in names)
+
+
 def genus_one_clique_le2_predicate(roveri: RingTable, isize: int) -> bool:
     """Membership test for the genus-at-most-one classification when the
     quotient graph has clique number at most 2: the quotient must match one
@@ -283,9 +318,9 @@ def genus_one_clique_le2_predicate(roveri: RingTable, isize: int) -> bool:
     if w > 2:
         raise CliqueHypothesisViolated(
             f"clique number {w} > 2 for {roveri.name}")
+    identity = _catalog_identity(roveri)
     for name, cap in _CLIQUE_LE2_CASES:
-        target = catalog_ring(name)
-        if roveri.order == target.order and iso_check(roveri, target):
+        if _catalog_identity(catalog_ring(name)) == identity:
             return isize <= cap
     q = _z2_cross_field_order(roveri)
     if q is not None and q >= 4:
@@ -300,13 +335,7 @@ def genus_one_clique3_predicate(roveri: RingTable, isize: int) -> bool:
     if w != 3:
         raise CliqueHypothesisViolated(
             f"clique number {w} != 3 for {roveri.name}")
-    if isize != 2:
-        return False
-    return any(
-        roveri.order == catalog_ring(name).order
-        and iso_check(roveri, catalog_ring(name))
-        for name in _CLIQUE3_TARGETS
-    )
+    return isize == 2 and _is_listed(roveri, _CLIQUE3_TARGETS)
 
 
 def genus_ge2_predicate(roveri: RingTable) -> bool:
@@ -364,13 +393,13 @@ def _square_zero_universal_witness(t: RingTable):
                     yield ju, (j5, j6), ((a, b), (c, d))
 
 
-def _h_embedding(t: RingTable):
+def _h_embedding(name: str):
     """Locate the attachment graph inside the ideal-based graph of the
-    synthesized pair (t x Z_2, 0 x Z_2); returns (graph, vertex map, K4
-    fiber quadruple) or None."""
-    table, ideal = synthesize(t, 2)
-    g = ideal_zero_divisor_graph(table, ideal)
+    synthesized pair (name x Z_2, 0 x Z_2); returns (vertex map, K4 fiber
+    quadruple) or None."""
+    g = _synthesized(name, 2).graph
     h, _ = attached_k4_graph()
+    t = catalog_ring(name)
     for ju, (j5, j6), ((a, b), (c, d)) in _square_zero_universal_witness(t):
         order = [ju, a, b, c, d, j5, j6]
         vmap = [2 * order[0], 2 * order[0] + 1]
@@ -378,67 +407,46 @@ def _h_embedding(t: RingTable):
         vmap += [2 * j + 1 for j in order[1:]]
         if all(g.has_edge(vmap[x], vmap[y]) for x, y in h.edges()):
             quad = (2 * j5, 2 * j5 + 1, 2 * j6, 2 * j6 + 1)
-            return g, vmap, quad
+            return vmap, quad
     return None
 
 
 # === Catalog sweep cache ====================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PairFacts:
-    ring: str
-    ideal: str
-    size: int
+    inst: _Instance  # the pair, its quotient's catalog identity, its graph
     prime: bool
     radical: bool
     quotient_table: RingTable
-    quotient_name: str
     quotient_graph: SimpleGraph
-    graph: SimpleGraph
 
 
 @lru_cache(maxsize=1)
-def _catalog_by_order() -> dict[int, tuple[str, ...]]:
-    out: dict[int, list[str]] = {}
-    for e in catalog_entries():
-        out.setdefault(catalog_ring(e.name).order, []).append(e.name)
-    return {k: tuple(v) for k, v in out.items()}
-
-
-def _match_catalog(table: RingTable) -> str:
-    for name in _catalog_by_order().get(table.order, ()):
-        if iso_check(table, catalog_ring(name)):
-            return name
-    return "other"
-
-
-@lru_cache(maxsize=1)
-def _pair_sweep() -> tuple[_PairFacts, ...]:
-    """Every catalog ring with every proper nonzero ideal, with the quotient
-    identified against the catalog and both graphs built."""
-    out = []
+def _pair_sweep() -> dict[tuple[str, int], _PairFacts]:
+    """Every catalog ring with every proper nonzero ideal, keyed by ring name
+    and ideal mask, with the quotient identified against the catalog and
+    both graphs built."""
+    out = {}
     for name, table, ideal in catalog_pairs(MAX_ORDER):
         q = quotient(table, ideal)
-        out.append(_PairFacts(
-            ring=name,
-            ideal=ideal.describe(),
-            size=ideal.size,
+        out[name, ideal.mask] = _PairFacts(
+            inst=_Instance(name, ideal.describe(), ideal.size,
+                           _catalog_identity(q.table),
+                           ideal_zero_divisor_graph(table, ideal)),
             prime=is_prime(ideal),
             radical=is_radical(ideal),
             quotient_table=q.table,
-            quotient_name=_match_catalog(q.table),
             quotient_graph=zero_divisor_graph(q.table),
-            graph=ideal_zero_divisor_graph(table, ideal),
-        ))
-    return tuple(out)
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class _LocalRing:
-    name: str
+    inst: _Instance  # the ring by name with its zero-divisor graph
     table: RingTable
-    graph: SimpleGraph  # zero-divisor graph
     residue: int  # size of the residue field
     msq_zero: bool  # whether the maximal ideal squares to zero
 
@@ -454,7 +462,8 @@ def _locals() -> tuple[_LocalRing, ...]:
         us = set(units(t))
         nu = [a for a in range(t.order) if a not in us]
         out.append(_LocalRing(
-            entry.name, t, zero_divisor_graph(t), t.order // len(nu),
+            _Instance(entry.name, "-", 0, "-", zero_divisor_graph(t)),
+            t, t.order // len(nu),
             all(int(t.mul[a, b]) == t.zero for a in nu for b in nu)))
     return tuple(out)
 
@@ -474,21 +483,18 @@ _REDMOND_SYNTH: tuple[tuple[str, int], ...] = (
 def _verify_redmond(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.REDMOND_PLANAR
     out = []
-    for pf in _pair_sweep():
+    for pf in _pair_sweep().values():
         if pf.prime:
             continue
-        verdict = redmond_planar_predicate(pf.quotient_table, pf.size)
-        fact = is_planar(pf.graph)
-        out.append(_report(
-            tid, pf.ring, pf.ideal, pf.size, pf.quotient_name, pf.graph,
-            verdict, fact, "catalog pair planarity vs predicate"))
+        verdict = redmond_planar_predicate(pf.quotient_table,
+                                           pf.inst.ideal_size)
+        out.append(_report(tid, pf.inst, verdict, is_planar(pf.inst.graph),
+                           "catalog pair planarity vs predicate"))
     for name, size in _REDMOND_SYNTH:
-        g, ring_name = _graph_of(name, size)
+        inst = _synthesized(name, size)
         verdict = redmond_planar_predicate(catalog_ring(name), size)
-        fact = is_planar(g)
-        out.append(_report(
-            tid, ring_name, f"0×Z_{size}", size, name, g,
-            verdict, fact, "synthesized planarity vs predicate"))
+        out.append(_report(tid, inst, verdict, is_planar(inst.graph),
+                           "synthesized planarity vs predicate"))
     return out
 
 
@@ -511,8 +517,8 @@ def _genus_one_positive(
     verdict: bool,
     require_exact_one: bool,
 ) -> ClassificationReport:
-    g, ring_name = _graph_of(name, size)
-    b = exact_genus(g, budget)
+    inst = _synthesized(name, size)
+    b = exact_genus(inst.graph, budget)
     if require_exact_one:
         fact = (b.lower, b.upper) == (1, 1)
         claim = "genus exactly 1"
@@ -522,8 +528,7 @@ def _genus_one_positive(
     detail = f"{claim}; " + "; ".join(b.provenance)
     if b.certificate is not None:
         detail += f"; certificate with {b.certificate.faces} faces"
-    return _report(tid, ring_name, f"0×Z_{size}", size, name, g,
-                   verdict, fact, detail, **_genus_fields(b))
+    return _report(tid, inst, verdict, fact, detail, b)
 
 
 def _genus_one_negative(
@@ -533,10 +538,8 @@ def _genus_one_negative(
     budget: int,
     verdict: bool,
 ) -> ClassificationReport:
-    g, ring_name = _graph_of(name, size)
-    return _lower_bound_report(tid, ring_name, f"0×Z_{size}", size, name, g,
-                               budget, "lower bound via ", verdict,
-                               claims_ge2=False)
+    return _lower_bound_report(tid, _synthesized(name, size), budget,
+                               "lower bound via ", verdict, claims_ge2=False)
 
 
 def _verify_genus_one_clique_le2(budget: int) -> list[ClassificationReport]:
@@ -582,18 +585,15 @@ def _verify_genus_ge2(budget: int) -> list[ClassificationReport]:
             continue
         if 2 * target.order > 64:
             continue  # no ring of order <= 64 realizes this quotient at size 2
-        g, ring_name = _graph_of(entry.name, 2)
         out.append(_lower_bound_report(
-            tid, ring_name, "0×Z_2", 2, entry.name, g, budget,
-            "lower bound via "))
-    for pf in _pair_sweep():
+            tid, _synthesized(entry.name, 2), budget, "lower bound via "))
+    for pf in _pair_sweep().values():
         if pf.quotient_graph.n == 0:
             continue
         if not genus_ge2_predicate(pf.quotient_table):
             continue
         out.append(_lower_bound_report(
-            tid, pf.ring, pf.ideal, pf.size, pf.quotient_name, pf.graph,
-            budget, "catalog pair; lower bound via "))
+            tid, pf.inst, budget, "catalog pair; lower bound via "))
     return out
 
 
@@ -619,31 +619,30 @@ def _verify_expansion_bounds(budget: int) -> list[ClassificationReport]:
         b = exact_genus(g, budget)
         fact = sb >= 2 and b.lower >= 2 and b.upper == expected
         out.append(_report(
-            tid, f"{name}^({t})", "-", 0, "-", g, True, fact,
+            tid, _Instance(f"{name}^({t})", "-", 0, "-", g), True, fact,
             f"subgraph {prov} gives {sb}; exact genus "
-            f"[{b.lower},{b.upper}] expected {expected}",
-            **_genus_fields(b)))
+            f"[{b.lower},{b.upper}] expected {expected}", b))
     return out
 
 
 def _verify_quotient_graph_laws(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.QUOTIENT_GRAPH_LAWS
     out = []
-    for pf in _pair_sweep():
-        g, gq = pf.graph, pf.quotient_graph
-        order_law = g.n == pf.size * gq.n
-        ge = expand(gq, pf.size)
+    for pf in _pair_sweep().values():
+        g, gq, size = pf.inst.graph, pf.quotient_graph, pf.inst.ideal_size
+        order_law = g.n == size * gq.n
+        ge = expand(gq, size)
         expansion_edges = set(ge.edges())
         graph_edges = set(g.edges())
         subgraph_law = ge.n == g.n and expansion_edges <= graph_edges
         equality = expansion_edges == graph_edges
         radical_law = equality == pf.radical
-        table, ideal = synthesize(pf.quotient_table, pf.size)
+        table, ideal = synthesize(pf.quotient_table, size)
         g2 = ideal_zero_divisor_graph(table, ideal)
         invariance = g2.n == g.n and set(g2.edges()) == graph_edges
         fact = order_law and subgraph_law and radical_law and invariance
         out.append(_report(
-            tid, pf.ring, pf.ideal, pf.size, pf.quotient_name, g, True, fact,
+            tid, pf.inst, True, fact,
             f"order law {order_law}; expansion subgraph {subgraph_law}; "
             f"equality iff radical {radical_law} (radical={pf.radical}); "
             f"synthesized-copy invariance {invariance}"))
@@ -653,26 +652,21 @@ def _verify_quotient_graph_laws(budget: int) -> list[ClassificationReport]:
 def _verify_diameter(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.DIAMETER_LE3
     out = []
-    for pf in _pair_sweep():
-        g = pf.graph
-        connected = is_connected(g)
-        d = diameter(g)
-        fact = connected and d <= 3
-        out.append(_report(
-            tid, pf.ring, pf.ideal, pf.size, pf.quotient_name, g, True, fact,
-            f"connected {connected}; diameter {d}"))
+    for pf in _pair_sweep().values():
+        connected = is_connected(pf.inst.graph)
+        d = diameter(pf.inst.graph)
+        out.append(_report(tid, pf.inst, True, connected and d <= 3,
+                           f"connected {connected}; diameter {d}"))
     return out
 
 
 def _verify_girth(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GIRTH_LE4
     out = []
-    for pf in _pair_sweep():
-        gr = girth(pf.graph)
-        fact = gr == INF or gr <= 4
-        out.append(_report(
-            tid, pf.ring, pf.ideal, pf.size, pf.quotient_name, pf.graph,
-            True, fact, f"girth {gr}"))
+    for pf in _pair_sweep().values():
+        gr = girth(pf.inst.graph)
+        out.append(_report(tid, pf.inst, True, gr == INF or gr <= 4,
+                           f"girth {gr}"))
     return out
 
 
@@ -687,12 +681,17 @@ def _verify_clique_minimal_primes(budget: int) -> list[ClassificationReport]:
             primes = minimal_primes_over(ideal)
             if len(primes) < 2:
                 continue
-            g = ideal_zero_divisor_graph(table, ideal)
-            w = clique_number(g)
-            fact = w == len(primes)
+            pf = _pair_sweep().get((entry.name, ideal.mask))
+            if pf is not None:
+                inst = pf.inst
+            else:  # the zero ideal
+                inst = _Instance(
+                    entry.name, ideal.describe(), ideal.size,
+                    _catalog_identity(quotient(table, ideal).table),
+                    ideal_zero_divisor_graph(table, ideal))
+            w = clique_number(inst.graph)
             out.append(_report(
-                tid, entry.name, ideal.describe(), ideal.size,
-                _match_catalog(quotient(table, ideal).table), g, True, fact,
+                tid, inst, True, w == len(primes),
                 f"clique {w} vs {len(primes)} minimal primes"))
     return out
 
@@ -705,9 +704,8 @@ def _verify_local_order_power(budget: int) -> list[ClassificationReport]:
         power = res
         while power < order:
             power *= res
-        out.append(_report(
-            tid, lr.name, "-", 0, "-", lr.graph, True, power == order,
-            f"order {order}, residue field size {res}"))
+        out.append(_report(tid, lr.inst, True, power == order,
+                           f"order {order}, residue field size {res}"))
     return out
 
 
@@ -717,9 +715,10 @@ def _verify_expansion_ge2_big_residue(budget: int) -> list[ClassificationReport]
     for lr in _locals():
         if lr.msq_zero or lr.residue < 3:
             continue
+        doubled = _Instance(lr.inst.ring, "-", 0, "-",
+                            expand(lr.inst.graph, 2))
         out.append(_lower_bound_report(
-            tid, lr.name, "-", 0, "-", expand(lr.graph, 2), budget,
-            "doubled graph lower bound via "))
+            tid, doubled, budget, "doubled graph lower bound via "))
     return out
 
 
@@ -727,11 +726,11 @@ def _verify_acyclic_residue_two(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.ACYCLIC_RESIDUE_TWO
     out = []
     for lr in _locals():
-        g = lr.graph
+        g = lr.inst.graph
         if g.n == 0 or lr.msq_zero or girth(g) != INF:
             continue
         out.append(_report(
-            tid, lr.name, "-", 0, "-", g, True, lr.residue == 2,
+            tid, lr.inst, True, lr.residue == 2,
             f"acyclic graph, nonzero square of the maximal ideal, "
             f"residue field size {lr.residue}"))
     return out
@@ -744,7 +743,7 @@ def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
     for lr in _locals():
         if 2 * lr.table.order > 64:
             continue  # product would exceed the supported ring order
-        gs = lr.graph
+        gs = lr.inst.graph
         table = product_tables(z2, lr.table)
         g = zero_divisor_graph(table)
         if gs.n <= 1:
@@ -757,7 +756,8 @@ def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
             detail = (f"large factor graph ({gs.n} vertices): triangle "
                       f"{k3} and K_{{2,3}} {k23}")
         out.append(_report(
-            tid, table.name, "-", 0, lr.name, g, True, fact, detail))
+            tid, _Instance(table.name, "-", 0, lr.inst.ring, g), True, fact,
+            detail))
     return out
 
 
@@ -776,15 +776,16 @@ def _verify_triple_product_genus(budget: int) -> list[ClassificationReport]:
     g = expand(zero_divisor_graph(cube), 2)
     b = exact_genus(g, budget)
     out.append(_report(
-        tid, "Z_2×Z_2×Z_2", "-", 0, "-", g, True,
+        tid, _Instance("Z_2×Z_2×Z_2", "-", 0, "-", g), True,
         b.upper is not None and b.upper <= 1,
-        f"doubled graph genus [{b.lower},{b.upper}]", **_genus_fields(b)))
+        f"doubled graph genus [{b.lower},{b.upper}]", b))
     for factors in _TRIPLE_NEGATIVE_FACTORS:
         table = product_tables(*(catalog_ring(f) for f in factors))
-        g = expand(zero_divisor_graph(table), 2)
+        doubled = _Instance(table.name, "-", 0, "-",
+                            expand(zero_divisor_graph(table), 2))
         out.append(_lower_bound_report(
-            tid, table.name, "-", 0, "-", g, budget,
-            "doubled graph lower bound via ", False, claims_ge2=False))
+            tid, doubled, budget, "doubled graph lower bound via ", False,
+            claims_ge2=False))
     return out
 
 
@@ -799,18 +800,15 @@ _TRIANGLE_RINGS: tuple[str, ...] = (
 def _verify_triangle_graph_rings(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.TRIANGLE_GRAPH_RINGS
     out = []
-    listed_tables = [catalog_ring(n) for n in _TRIANGLE_RINGS]
     for lr in _locals():
-        g = lr.graph
+        g = lr.inst.graph
         is_triangle = g.n == 3 and g.m == 3
-        listed = any(
-            lr.table.order == lt.order and iso_check(lr.table, lt)
-            for lt in listed_tables)
+        listed = _is_listed(lr.table, _TRIANGLE_RINGS)
         if not (is_triangle or listed):
             continue
         fact = is_triangle and listed and lr.msq_zero
         out.append(_report(
-            tid, lr.name, "-", 0, "-", g, True, fact,
+            tid, lr.inst, True, fact,
             f"triangle graph {is_triangle}; listed {listed}; "
             f"square-zero maximal ideal {lr.msq_zero}"))
     return out
@@ -834,25 +832,24 @@ def _verify_attached_k4_graph(budget: int) -> list[ClassificationReport]:
     kb = k4_attachment_bound(h, quad)
     b = exact_genus(h, budget)
     out.append(_report(
-        tid, "attachment graph", "-", 0, "-", h, True,
+        tid, _Instance("attachment graph", "-", 0, "-", h), True,
         kb >= 2 and b.lower >= 2,
-        f"attachment bound {kb}; exact genus [{b.lower},{b.upper}]",
-        **_genus_fields(b)))
+        f"attachment bound {kb}; exact genus [{b.lower},{b.upper}]", b))
     for name in _GENUS_TWO_TARGETS:
-        target = catalog_ring(name)
-        found = _h_embedding(target)
+        found = _h_embedding(name)
         if found is None:
-            out.append(_report(
-                tid, name, "0×Z_2", 2, name, zero_divisor_graph(target),
-                True, False, "no attachment-graph embedding found"))
+            inst = _Instance(name, "0×Z_2", 2, name,
+                             zero_divisor_graph(catalog_ring(name)))
+            out.append(_report(tid, inst, True, False,
+                               "no attachment-graph embedding found"))
             continue
-        g, vmap, fiber_quad = found
-        kb = k4_attachment_bound(g, fiber_quad)
-        fact = kb >= 2
+        vmap, fiber_quad = found
+        inst = _synthesized(name, 2)
+        kb = k4_attachment_bound(inst.graph, fiber_quad)
         out.append(_report(
-            tid, f"{name}×Z_2", "0×Z_2", 2, name, g, True, fact,
+            tid, inst, True, kb >= 2,
             f"attachment graph embedded via vertex map {vmap}; "
-            f"attachment bound {kb}", kb, None))
+            f"attachment bound {kb}", lower=kb))
     return out
 
 
@@ -879,9 +876,10 @@ def _verify_quotient_genus2_lift(budget: int) -> list[ClassificationReport]:
         if qlo < 2:
             continue
         table, ideal = synthesize(target, 2)
+        inst = _Instance(table.name, "0×Z_2", 2, _catalog_identity(target),
+                         ideal_zero_divisor_graph(table, ideal))
         out.append(_lower_bound_report(
-            tid, table.name, "0×Z_2", 2, _match_catalog(target),
-            ideal_zero_divisor_graph(table, ideal), budget,
+            tid, inst, budget,
             f"quotient graph lower bound {qlo}; lifted lower bound via "))
     return out
 
@@ -892,15 +890,14 @@ def _verify_genus_one_residue2_lift(budget: int) -> list[ClassificationReport]:
     for lr in _locals():
         if lr.residue != 2 or 2 * lr.table.order > 64:
             continue
-        gq = lr.graph
+        gq = lr.inst.graph
         if gq.n == 0 or gq.m > 40 or is_planar(gq):
             continue
         bq = exact_genus(gq, budget)
         if (bq.lower, bq.upper) != (1, 1):
             continue
-        g, ring_name = _graph_of(lr.name, 2)
         out.append(_lower_bound_report(
-            tid, ring_name, "0×Z_2", 2, lr.name, g, budget,
+            tid, _synthesized(lr.inst.ring, 2), budget,
             "quotient graph has genus exactly 1; lifted lower bound via "))
     return out
 
@@ -921,7 +918,8 @@ def _verify_genus_one_examples(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GENUS_ONE_EXAMPLES
     out = []
     for name, size, expect_k6 in _GENUS_ONE_EXAMPLES:
-        g, ring_name = _graph_of(name, size)
+        inst = _synthesized(name, size)
+        g = inst.graph
         b = exact_genus(g, budget)
         fact = (b.lower, b.upper) == (1, 1)
         detail = f"genus [{b.lower},{b.upper}]"
@@ -929,20 +927,15 @@ def _verify_genus_one_examples(budget: int) -> list[ClassificationReport]:
             complete = g.n == 6 and g.m == 15
             fact = fact and complete
             detail += f"; complete on 6 vertices {complete}"
-        out.append(_report(
-            tid, ring_name, f"0×Z_{size}", size, name, g, True, fact,
-            detail, **_genus_fields(b)))
+        out.append(_report(tid, inst, True, fact, detail, b))
     return out
 
 
 def _verify_genus_two_examples(budget: int) -> list[ClassificationReport]:
-    tid = TheoremId.GENUS_TWO_EXAMPLES
-    out = []
-    for name in _GENUS_TWO_TARGETS:
-        g, ring_name = _graph_of(name, 2)
-        out.append(_lower_bound_report(
-            tid, ring_name, "0×Z_2", 2, name, g, budget, "lower bound via "))
-    return out
+    return [_lower_bound_report(TheoremId.GENUS_TWO_EXAMPLES,
+                                _synthesized(name, 2), budget,
+                                "lower bound via ")
+            for name in _GENUS_TWO_TARGETS]
 
 
 # === Entry points ===========================================================

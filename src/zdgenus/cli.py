@@ -63,7 +63,11 @@ def resolve_ring(arg: str) -> RingTable:
     """Catalog name, ring spec JSON path, or product expression."""
     path = Path(arg)
     if path.suffix == ".json" or path.is_file():
-        return build_ring(spec_from_json(path.read_text(encoding="utf-8")))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidSpec(f"{arg}: spec file is not UTF-8: {exc}") from exc
+        return build_ring(spec_from_json(text))
     try:
         return _resolve_factor(arg)
     except InvalidSpec:

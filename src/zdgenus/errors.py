@@ -10,11 +10,12 @@ class InvalidSpec(ZdgenusError):
 
 
 class NonConfluentPresentation(ZdgenusError):
-    """A quotient-algebra presentation produced an invalid table.
+    """A ring presentation produced a table that is not the ring presented.
 
-    Raised when the normal-form set is not closed under multiplication,
-    the resulting table fails an axiom check, or the table order does not
-    match the expected order recorded with the presentation.
+    Raised when the built table fails an axiom check, when its order does
+    not match the expected order recorded with the presentation, or, for a
+    quotient algebra, when n*1 is not 0 in the table, a relation fails at
+    the variables' images, or those images do not generate the table.
     """
 
 

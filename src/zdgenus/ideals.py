@@ -221,7 +221,13 @@ def is_radical(i: IdealSet) -> bool:
 
 
 def minimal_primes_over(i: IdealSet) -> list[IdealSet]:
-    """Minimal prime ideals over a proper radical ideal."""
+    """Minimal prime ideals over a proper radical ideal.
+
+    In a finite commutative ring every prime P is maximal, since R/P is a
+    finite domain and hence a field; so the primes containing the ideal are
+    pairwise incomparable and all of them are minimal over it.  A radical
+    ideal is the intersection of the primes containing it, which is checked.
+    """
     t = i.ring
     if i.is_whole():
         raise WholeRingIdeal("minimal primes require a proper ideal")
@@ -232,16 +238,9 @@ def minimal_primes_over(i: IdealSet) -> list[IdealSet]:
         for p in enumerate_ideals(t)
         if not p.is_whole() and p.mask & i.mask == i.mask and is_prime(p)
     ]
-    minimal = [
-        p
-        for p in primes
-        if not any(
-            q.mask != p.mask and q.mask & p.mask == q.mask for q in primes
-        )
-    ]
     inter = (1 << t.order) - 1
-    for p in minimal:
+    for p in primes:
         inter &= p.mask
     if inter != i.mask:
         raise ZdgenusError("minimal primes do not intersect to the ideal")
-    return minimal
+    return primes

@@ -7,7 +7,10 @@ indices.  Quotient algebras are built by monomial rewriting: each relation
 maps a monomial to a strictly smaller polynomial in a degree-then-lex order,
 or pins the additive order of a monomial (d*m -> 0).  Correctness of the
 resulting table is not assumed from confluence theory; it is enforced a
-posteriori by exhaustive axiom validation plus an expected-order check.
+posteriori by exhaustive axiom validation, a presentation check (n*1 = 0,
+every relation holds at the variables' images, and those images generate
+the table, which together make the table the presented ring), and an
+expected-order check.
 
 Supported orders are small (hard cap 64), so every check is exhaustive.
 """
@@ -125,6 +128,16 @@ def quotient_algebra(
                                        or expected_order < 1):
         raise InvalidSpec(f"expected_order must be a positive int, got "
                           f"{expected_order!r}")
+    if not isinstance(variables, (list, tuple)) or not all(
+            isinstance(v, str) and v.isidentifier() for v in variables):
+        raise InvalidSpec("variables must be a list of identifier strings, "
+                          f"got {reprlib.repr(variables)}")
+    if not isinstance(relations, (list, tuple)) or not all(
+            isinstance(r, RewriteRule)
+            or isinstance(r, (list, tuple)) and len(r) == 2
+            for r in relations):
+        raise InvalidSpec("relations must be a list of [lhs, rhs] pairs, "
+                          f"got {reprlib.repr(relations)}")
     rules = tuple(
         r if isinstance(r, RewriteRule) else RewriteRule(*r) for r in relations
     )
@@ -163,9 +176,13 @@ class RingTable:
         return int(np.where(self.add[a] == self.zero)[0][0])
 
     def power(self, a: int, k: int) -> int:
+        """a**k by square and multiply; relation exponents may be large."""
         out = self.one
-        for _ in range(k):
-            out = int(self.mul[out, a])
+        while k > 0:
+            if k & 1:
+                out = int(self.mul[out, a])
+            k >>= 1
+            a = int(self.mul[a, a])
         return out
 
     def index_of(self, label: str) -> int:
@@ -509,7 +526,7 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
         for mono, c in poly.items():
             term = t.one
             for x, e in zip(images, mono):
-                term = int(t.mul[term, _table_power(t, x, e)])
+                term = int(t.mul[term, t.power(x, e)])
             for _ in range(c):
                 total = int(t.add[total, term])
         return total
@@ -536,17 +553,6 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
     if not have.all():
         raise NonConfluentPresentation(
             f"{spec.name}: the variables do not generate the built table")
-
-
-def _table_power(t: RingTable, x: int, e: int) -> int:
-    """x**e in t by square and multiply; relation exponents may be large."""
-    out = t.one
-    while e:
-        if e & 1:
-            out = int(t.mul[out, x])
-        e >>= 1
-        x = int(t.mul[x, x])
-    return out
 
 
 # === Ring construction ======================================================
@@ -885,19 +891,22 @@ def spec_from_json(text: str) -> RingSpec:
     def dec(d) -> RingSpec:
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidSpec("ring spec JSON must be an object with a kind")
-        kind = d["kind"]
+        kind, name = d["kind"], d.get("name")
+        if name is not None and not isinstance(name, str):
+            raise InvalidSpec(
+                f"ring name must be a string, got {reprlib.repr(name)}")
         if kind == "zmod":
-            return zmod(d["n"], d.get("name"))
+            return zmod(d["n"], name)
         if kind == "gf":
-            return gf(d["p"], d["k"], d.get("name"))
+            return gf(d["p"], d["k"], name)
         if kind == "product":
-            return product(*[dec(f) for f in d["factors"]], name=d.get("name"))
+            return product(*[dec(f) for f in d["factors"]], name=name)
         if kind == "quotient":
             return quotient_algebra(
                 d["base"],
                 d["variables"],
                 d["relations"],
-                name=d.get("name") or "quotient",
+                name=name or "quotient",
                 expected_order=d.get("expected_order"),
             )
         raise InvalidSpec(f"unknown ring kind {kind!r}")

@@ -83,19 +83,33 @@ BAD_SPECS = [
     {"kind": "quotient", "base": 2, "variables": ["x"],
      "relations": [["x^2", "0"]], "expected_order": order}
     for order in ("4", True)
+] + [
+    # variables must be a list of distinct identifier strings
+    {"kind": "quotient", "base": 2, "variables": variables,
+     "relations": [["x^2", "0"], ["y^2", "0"]]}
+    for variables in ("xy", [["x", "0"]], ["x", "x"], ["x", "2y"], [])
+] + [
+    # a relation is a [lhs, rhs] pair, not a two-letter string
+    {"kind": "quotient", "base": 2, "variables": ["x"], "relations": ["x0"]},
+    {"kind": "zmod", "n": 6, "name": ["a"]},
 ]
 # written as is: JSON too deeply nested for the decoder
 DEEP_JSON = ('{"kind": "product", "factors": '
              + "[" * 100000 + "]" * 100000 + "}")
+# written as is: a spec file that is not UTF-8
+LATIN1_JSON = '{"kind": "zmod", "n": 6, "name": "Z_6 \xe9"}'.encode("latin-1")
 
 
 @pytest.mark.parametrize(
-    "spec", BAD_SPECS + [DEEP_JSON],
-    ids=[f"spec{i}" for i in range(len(BAD_SPECS) + 1)])
+    "spec", BAD_SPECS + [DEEP_JSON, LATIN1_JSON],
+    ids=[f"spec{i}" for i in range(len(BAD_SPECS) + 2)])
 def test_bad_spec_json_exits_2(spec, capsys, tmp_path):
     path = tmp_path / "ring.json"
-    text = spec if isinstance(spec, str) else json.dumps(spec)
-    path.write_text(text, encoding="utf-8")
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        text = spec if isinstance(spec, str) else json.dumps(spec)
+        path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "ring", str(path))
     assert code == 2
     assert out == ""

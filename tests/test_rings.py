@@ -62,6 +62,9 @@ def test_units_closed(z8):
 def test_power_and_neg(z8):
     assert z8.power(2, 3) == 0
     assert z8.power(3, 2) == 1
+    assert [z8.power(3, k) for k in range(9)] == [pow(3, k, 8)
+                                                  for k in range(9)]
+    assert z8.power(3, 10**18) == 1  # square and multiply, not a k-fold loop
     assert z8.neg(3) == 5
     assert z8.index_of("6") == 6
 
