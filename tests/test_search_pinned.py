@@ -1,0 +1,64 @@
+"""The genus search pinned to fixed node counts, rotations and certificate
+bytes.
+
+A change to the edge-insertion search that keeps its move order, its rng
+draws and its arms must leave every figure here as it is.  The node counts
+are those of `_search_genus` from the certified level, bypassing the class
+cache; the digest is the SHA-256 of the found rotation as JSON.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from zdgenus import complete_graph, complete_multipartite, make_graph
+from zdgenus import genus as genus_module
+
+from test_search_arms import EXHAUSTS_GENUS_1, SRC
+
+PETERSEN = make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+
+# name: (graph, genus, nodes, rotation digest prefix)
+PINNED = {
+    "K_5": (complete_graph(5), 1, 10, "10ffd744e451b992"),
+    "K_{3,3}": (complete_multipartite(3, 3), 1, 9, "0f58af685014314e"),
+    "K_7": (complete_graph(7), 1, 78, "6f5e03ab37e375a8"),
+    "K_8": (complete_graph(8), 2, 304, "d8fbf86c16a94fb0"),
+    "K_{4,5}": (complete_multipartite(4, 5), 2, 20, "1ee19343d8548f32"),
+    "Petersen": (PETERSEN, 1, 15, "04b57d36b54f12eb"),
+    "EXHAUSTS_GENUS_1": (EXHAUSTS_GENUS_1, 2, 16171, "006c3dfd524bba46"),
+    "K_{1,1,1,1,8}": (complete_multipartite(1, 1, 1, 1, 8), 3, 69134,
+                      "c2ee0f314bd4480c"),
+}
+Z32_GEN8_CERT_SHA256 = (
+    "1f4e06689f95befbba18798003d04ecbdc55c2f11c7e27c424e22c9f21874818")
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_search_keeps_nodes_and_rotation(name):
+    g, level, nodes, digest = PINNED[name]
+    spent = [10**9]
+    b = genus_module._search_genus(g, spent)
+    rot = json.dumps(b.certificate.rotation.order).encode()
+    assert (b.upper, 10**9 - spent[0]) == (level, nodes)
+    assert hashlib.sha256(rot).hexdigest()[:16] == digest
+
+
+def test_z32_gen8_certificate_bytes(tmp_path):
+    # a fresh process, so the class cache holds no other labelling
+    path = tmp_path / "cert.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdgenus", "genus", "Z_32", "gen:8",
+         "--output", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == Z32_GEN8_CERT_SHA256
