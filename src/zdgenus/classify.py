@@ -22,6 +22,7 @@ from itertools import combinations
 from .catalog import catalog_entries, catalog_pairs, catalog_ring
 from .errors import CliqueHypothesisViolated, ZdgenusError
 from .genus import (
+    EXHAUSTIVE_EDGE_CAP,
     GenusBounds,
     closed_form_bound,
     euler_lower_bound,
@@ -33,7 +34,6 @@ from .genus import (
 from .graphs import (
     SimpleGraph,
     clique_number,
-    diameter,
     expand,
     find_biclique,
     find_complete_subgraph,
@@ -583,8 +583,8 @@ def _verify_genus_ge2(budget: int) -> list[ClassificationReport]:
         gq = zero_divisor_graph(target)
         if gq.n == 0 or not genus_ge2_predicate(target):
             continue
-        if 2 * target.order > 64:
-            continue  # no ring of order <= 64 realizes this quotient at size 2
+        if 2 * target.order > MAX_ORDER:
+            continue  # its pair at size 2 exceeds the supported ring order
         out.append(_lower_bound_report(
             tid, _synthesized(entry.name, 2), budget, "lower bound via "))
     for pf in _pair_sweep().values():
@@ -654,7 +654,7 @@ def _verify_diameter(budget: int) -> list[ClassificationReport]:
     out = []
     for pf in _pair_sweep().values():
         connected = is_connected(pf.inst.graph)
-        d = diameter(pf.inst.graph)
+        d = pf.inst.graph_fields["diameter"]
         out.append(_report(tid, pf.inst, True, connected and d <= 3,
                            f"connected {connected}; diameter {d}"))
     return out
@@ -664,7 +664,7 @@ def _verify_girth(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GIRTH_LE4
     out = []
     for pf in _pair_sweep().values():
-        gr = girth(pf.inst.graph)
+        gr = pf.inst.graph_fields["girth"]
         out.append(_report(tid, pf.inst, True, gr == INF or gr <= 4,
                            f"girth {gr}"))
     return out
@@ -689,7 +689,7 @@ def _verify_clique_minimal_primes(budget: int) -> list[ClassificationReport]:
                     entry.name, ideal.describe(), ideal.size,
                     _catalog_identity(quotient(table, ideal).table),
                     ideal_zero_divisor_graph(table, ideal))
-            w = clique_number(inst.graph)
+            w = inst.graph_fields["clique"]
             out.append(_report(
                 tid, inst, True, w == len(primes),
                 f"clique {w} vs {len(primes)} minimal primes"))
@@ -726,8 +726,8 @@ def _verify_acyclic_residue_two(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.ACYCLIC_RESIDUE_TWO
     out = []
     for lr in _locals():
-        g = lr.inst.graph
-        if g.n == 0 or lr.msq_zero or girth(g) != INF:
+        if (lr.inst.graph.n == 0 or lr.msq_zero
+                or lr.inst.graph_fields["girth"] != INF):
             continue
         out.append(_report(
             tid, lr.inst, True, lr.residue == 2,
@@ -741,13 +741,14 @@ def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
     out = []
     z2 = _zt(2)
     for lr in _locals():
-        if 2 * lr.table.order > 64:
+        if 2 * lr.table.order > MAX_ORDER:
             continue  # product would exceed the supported ring order
         gs = lr.inst.graph
         table = product_tables(z2, lr.table)
         g = zero_divisor_graph(table)
+        inst = _Instance(table.name, "-", 0, lr.inst.ring, g)
         if gs.n <= 1:
-            fact = is_planar(g) and girth(g) == INF
+            fact = is_planar(g) and inst.graph_fields["girth"] == INF
             detail = f"small factor graph ({gs.n} vertices): planar and acyclic"
         else:
             k3 = find_complete_subgraph(g, 3)
@@ -755,9 +756,7 @@ def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
             fact = k3 is not None and k23 is not None
             detail = (f"large factor graph ({gs.n} vertices): triangle "
                       f"{k3} and K_{{2,3}} {k23}")
-        out.append(_report(
-            tid, _Instance(table.name, "-", 0, lr.inst.ring, g), True, fact,
-            detail))
+        out.append(_report(tid, inst, True, fact, detail))
     return out
 
 
@@ -867,7 +866,7 @@ def _verify_quotient_genus2_lift(budget: int) -> list[ClassificationReport]:
     out = []
     catalog_tables = [catalog_ring(e.name) for e in catalog_entries()]
     for target in catalog_tables + [_extra_genus_two_local()]:
-        if 2 * target.order > 64:
+        if 2 * target.order > MAX_ORDER:
             continue
         gq = zero_divisor_graph(target)
         if gq.n == 0:
@@ -888,10 +887,10 @@ def _verify_genus_one_residue2_lift(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GENUS_ONE_RESIDUE2_LIFT
     out = []
     for lr in _locals():
-        if lr.residue != 2 or 2 * lr.table.order > 64:
+        if lr.residue != 2 or 2 * lr.table.order > MAX_ORDER:
             continue
         gq = lr.inst.graph
-        if gq.n == 0 or gq.m > 40 or is_planar(gq):
+        if gq.n == 0 or gq.m > EXHAUSTIVE_EDGE_CAP or is_planar(gq):
             continue
         bq = exact_genus(gq, budget)
         if (bq.lower, bq.upper) != (1, 1):

@@ -60,14 +60,29 @@ def _resolve_factor(token: str) -> RingTable:
 
 
 def resolve_ring(arg: str) -> RingTable:
-    """Catalog name, ring spec JSON path, or product expression."""
+    """Catalog name or product expression; else a ring spec JSON path.
+
+    A path is read when it ends in .json, or when it is a file and no ring
+    has that name, so a file named like a catalog ring does not shadow
+    it."""
     path = Path(arg)
-    if path.suffix == ".json" or path.is_file():
+    if path.suffix != ".json":
         try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidSpec(f"{arg}: spec file is not UTF-8: {exc}") from exc
-        return build_ring(spec_from_json(text))
+            return _resolve_name(arg)
+        except InvalidSpec:
+            if not path.is_file():
+                raise
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(f"{arg}: spec file is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # a NUL in the path
+        raise InvalidSpec(f"{arg!r}: {exc}") from exc
+    return build_ring(spec_from_json(text))
+
+
+def _resolve_name(arg: str) -> RingTable:
+    """Catalog name, GF(q) alias or product expression."""
     try:
         return _resolve_factor(arg)
     except InvalidSpec:

@@ -4,11 +4,12 @@ exact edge-insertion search with certificates.
 A rotation system stores, for every vertex, a cyclic order of its neighbors.
 Faces are orbits of the dart permutation d -> next(reverse(d)); the genus
 then falls out of the Euler relation V - E + F = 2 - 2g.  The exact search
-inserts edges one at a time into a partial embedding, trying every corner
-pair, and backtracks; placing an edge across two corners of one face splits
-the face, across two different faces merges them and raises the genus by
-one.  Iterative deepening from a certified lower bound makes the first
-completed embedding optimal.
+inserts edges one at a time into a partial embedding and backtracks, with
+three kinds of move: a vertex's first edge starts its rotation and extends
+the face it enters at the other end; a later edge across two corners of
+one face splits the face; across two different faces it merges them and
+raises the genus by one.  Iterative deepening from a certified lower bound
+makes the first completed embedding optimal.
 
 Each genus level is tried by three arms, all charged to the one budget.
 First the plain search, capped at RESTART_NODES nodes; a level it exhausts
@@ -521,35 +522,35 @@ class _OutOfBudget(Exception):
     pass
 
 
-class _OutOfNodes(Exception):
-    pass
-
-
 class _Embedder:
-    """Backtracking edge-insertion search for an embedding of target genus."""
+    """Backtracking edge-insertion search for an embedding of target genus.
+
+    Vertices are added one by one; each step inserts one edge (v, u) from
+    the new vertex v back to a placed u, with darts a out of v and a ^ 1
+    out of u, after a corner at each end.  There are three kinds of move.
+    A vertex's first edge starts its rotation (a None corner) and extends
+    the face of the corner taken at u.  Any later edge joins two corners:
+    of one face, which it splits in two, or of two faces, which it merges,
+    adding a handle.  Same-face pairs are tried before cross pairs, and
+    cross pairs only below the target genus."""
 
     def __init__(self, g: SimpleGraph, budget: list[int], rng=None):
         self.g = g
         self.budget = budget
         self.rng = rng
-        self.edges = g.edges()
-        self.eid = {}
-        self.tgt = []
-        for k, (u, v) in enumerate(self.edges):
-            self.eid[(u, v)] = k
-            self.eid[(v, u)] = k
-            self.tgt.extend([v, u])
-        n_darts = 2 * len(self.edges)
-        self.nxt = [0] * n_darts
-        self.face = [0] * n_darts
+        self.steps = self._build_steps()
+        # the target vertex of each dart
+        self.tgt = [w for v, u, _, _ in self.steps for w in (u, v)]
+        self.nxt = [0] * len(self.tgt)
+        self.face = [0] * len(self.tgt)
         self.darts_at: list[list[int]] = [[] for _ in range(g.n)]
-        self.F = 0
         self.gcur = 0
         self.fresh = 0
-        self.steps = self._build_steps()
         self.found: RotationSystem | None = None
 
     def _build_steps(self):
+        """Steps (v, u, dart out of v, first edge of v), in vertex order;
+        step s owns darts 2s, from v to u, and 2s + 1."""
         g = self.g
         first = max(range(g.n), key=lambda v: (g.degree(v), -v))
         order = [first]
@@ -573,93 +574,60 @@ class _Embedder:
                 key=lambda u: pos[u],
             )
             for j, u in enumerate(backs):
-                steps.append((v, u, j == 0))
+                steps.append((v, u, 2 * len(steps), j == 0))
         return steps
 
-    def _darts(self, e: int, v: int) -> tuple[int, int]:
-        """(dart out of v, reverse dart) for edge index e."""
-        a = 2 * e if self.edges[e][0] == v else 2 * e + 1
-        return a, a ^ 1
-
     def _retrace(self, start: int, fid: int):
+        face, nxt = self.face, self.nxt
         changed = []
         d = start
         while True:
-            changed.append((d, self.face[d]))
-            self.face[d] = fid
-            d = self.nxt[d ^ 1]
+            changed.append((d, face[d]))
+            face[d] = fid
+            d = nxt[d ^ 1]
             if d == start:
                 return changed
 
-    def _restore(self, changed):
-        for d, old in reversed(changed):
-            self.face[d] = old
-
-    def _splice(self, anchor: int, d: int):
-        self.nxt[d] = self.nxt[anchor]
-        self.nxt[anchor] = d
-
-    def _unsplice(self, anchor: int, d: int):
-        self.nxt[anchor] = self.nxt[d]
-
-    def _place_first(self, e: int, v: int, u: int, d_u):
-        a, b = self._darts(e, v)
-        self.nxt[a] = a
-        if d_u is None:
-            self.nxt[b] = b
-            self.F += 1
-        else:
-            self._splice(d_u, b)
+    def _place(self, step, c_v, c_u):
+        """Insert the step's edge after dart c_v at v and c_u at u, a None
+        corner starting that vertex's rotation; returns the undo frame."""
+        v, u, a, _ = step
+        b = a ^ 1
+        nxt = self.nxt
+        for d, c in ((a, c_v), (b, c_u)):
+            if c is None:
+                nxt[d] = d
+            else:
+                nxt[d] = nxt[c]
+                nxt[c] = d
         self.fresh += 1
-        changed = self._retrace(b, self.fresh)
-        self.darts_at[v].append(a)
-        self.darts_at[u].append(b)
-        return (a, b, d_u, changed)
-
-    def _undo_first(self, v: int, u: int, frame):
-        a, b, d_u, changed = frame
-        self.darts_at[u].pop()
-        self.darts_at[v].pop()
-        self._restore(changed)
-        if d_u is None:
-            self.F -= 1
-        else:
-            self._unsplice(d_u, b)
-
-    def _place_pair(self, e: int, v: int, u: int, d_v: int, d_u: int,
-                    same: bool):
-        a, b = self._darts(e, v)
-        self._splice(d_v, a)
-        self._splice(d_u, b)
-        if same:
+        changed = self._retrace(a, self.fresh)
+        handle = False
+        if self.face[b] != self.fresh:
+            # b is not on a's face: the edge split one face in two
             self.fresh += 1
-            ch1 = self._retrace(a, self.fresh)
-            self.fresh += 1
-            ch2 = self._retrace(b, self.fresh)
-            self.F += 1
-        else:
-            self.fresh += 1
-            ch1 = self._retrace(a, self.fresh)
-            ch2 = []
-            self.F -= 1
+            changed += self._retrace(b, self.fresh)
+        elif c_v is not None:
+            # a and b on one face after joining two corners: two faces
+            # merged, one more handle
+            handle = True
             self.gcur += 1
         self.darts_at[v].append(a)
         self.darts_at[u].append(b)
-        return (a, b, d_v, d_u, ch1, ch2, same)
+        return c_v, c_u, changed, handle
 
-    def _undo_pair(self, v: int, u: int, frame):
-        a, b, d_v, d_u, ch1, ch2, same = frame
+    def _undo(self, step, frame):
+        v, u, a, _ = step
+        c_v, c_u, changed, handle = frame
         self.darts_at[u].pop()
         self.darts_at[v].pop()
-        self._restore(ch2)
-        self._restore(ch1)
-        if same:
-            self.F -= 1
-        else:
-            self.F += 1
-            self.gcur -= 1
-        self._unsplice(d_u, b)
-        self._unsplice(d_v, a)
+        for d, old in reversed(changed):
+            self.face[d] = old
+        self.gcur -= handle
+        if c_u is not None:
+            self.nxt[c_u] = self.nxt[a ^ 1]
+        if c_v is not None:
+            self.nxt[c_v] = self.nxt[a]
 
     def _capture(self) -> RotationSystem:
         order = []
@@ -675,11 +643,6 @@ class _Embedder:
             order.append(tuple(seq))
         return RotationSystem(tuple(order))
 
-    def _spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise _OutOfNodes
-
     def search(self, target: int, cap=inf) -> bool | None:
         """True with the embedding in self.found, False when g has none of
         genus target, None when cap nodes settle neither; a capped run
@@ -690,9 +653,9 @@ class _Embedder:
         self.left = start = min(cap, budget)
         try:
             return self._rec(0)
-        except _OutOfNodes:
+        except _OutOfBudget:
             if cap >= budget:
-                raise _OutOfBudget from None
+                raise
             self.left = 0  # the refused node is not charged
             return None
         finally:
@@ -702,52 +665,42 @@ class _Embedder:
         if si == len(self.steps):
             self.found = self._capture()
             return True
-        v, u, is_first = self.steps[si]
-        if is_first:
-            anchors = self.darts_at[u] or [None]
-            if self.rng is not None:
-                anchors = anchors[:]
-                self.rng.shuffle(anchors)
-            e = self.eid[(v, u)]
-            for d_u in anchors:
-                self._spend()
-                frame = self._place_first(e, v, u, d_u)
-                if self._rec(si + 1):
-                    return True
-                self._undo_first(v, u, frame)
-            return False
-        # the face of the corner after dart d is face[nxt[d]]
-        face, nxt = self.face, self.nxt
-        if self.gcur == self.target:
-            fv = {face[nxt[d]] for d in self.darts_at[v]}
-            j = si
-            while j < len(self.steps) and self.steps[j][0] == v:
-                fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
-                if fv.isdisjoint(fu):
-                    return False
-                j += 1
-        e = self.eid[(v, u)]
-        # same-face corner pairs (split a face) before cross pairs (merge
-        # two faces, one more handle)
-        tiers = ([], [])
-        allow_cross = self.gcur < self.target
-        corners_u = [(d_u, face[nxt[d_u]]) for d_u in self.darts_at[u]]
-        for d_v in self.darts_at[v]:
-            f_v = face[nxt[d_v]]
-            for d_u, f_u in corners_u:
-                if f_v == f_u:
-                    tiers[0].append((d_v, d_u))
-                elif allow_cross:
-                    tiers[1].append((d_v, d_u))
-        for same, pairs in zip((True, False), tiers):
+        step = self.steps[si]
+        v, u, _, first = step
+        if first:
+            tiers = ([(None, c_u) for c_u in self.darts_at[u] or [None]],)
+        else:
+            # the face of the corner after dart d is face[nxt[d]]
+            face, nxt = self.face, self.nxt
+            if self.gcur == self.target:
+                fv = {face[nxt[d]] for d in self.darts_at[v]}
+                j = si
+                while j < len(self.steps) and self.steps[j][0] == v:
+                    fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
+                    if fv.isdisjoint(fu):
+                        return False
+                    j += 1
+            tiers = ([], [])
+            allow_cross = self.gcur < self.target
+            corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
+            for c_v in self.darts_at[v]:
+                f_v = face[nxt[c_v]]
+                for c_u, f_u in corners_u:
+                    if f_v == f_u:
+                        tiers[0].append((c_v, c_u))
+                    elif allow_cross:
+                        tiers[1].append((c_v, c_u))
+        for pairs in tiers:
             if self.rng is not None:
                 self.rng.shuffle(pairs)
-            for d_v, d_u in pairs:
-                self._spend()
-                frame = self._place_pair(e, v, u, d_v, d_u, same)
+            for c_v, c_u in pairs:
+                self.left -= 1
+                if self.left < 0:
+                    raise _OutOfBudget
+                frame = self._place(step, c_v, c_u)
                 if self._rec(si + 1):
                     return True
-                self._undo_pair(v, u, frame)
+                self._undo(step, frame)
         return False
 
 

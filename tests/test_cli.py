@@ -54,6 +54,21 @@ def test_unknown_ring_exits_2(capsys):
     assert "error" in err
 
 
+def test_file_named_like_a_catalog_ring_does_not_shadow_it(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("Z_6").write_text("not a spec", encoding="utf-8")
+    Path("mine").write_text(json.dumps({"kind": "zmod", "n": 10}),
+                            encoding="utf-8")
+    code, out, _ = run(capsys, "ring", "Z_6")
+    assert code == 0
+    assert "order: 6" in out
+    # a file that names no ring is still read as a spec
+    code, out, _ = run(capsys, "ring", "mine")
+    assert code == 0
+    assert "order: 10" in out
+
+
 def test_adhoc_triple_product_has_flat_labels(capsys):
     code, out, _ = run(capsys, "ring", "Z_2×Z_2×Z_5")
     assert code == 0

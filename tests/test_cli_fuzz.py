@@ -2,16 +2,19 @@
 
 Spec files are drawn as raw bytes and as valid spec JSON with one field
 replaced, deleted or descended into, optionally with a few bytes spliced in;
-ideal selectors are drawn as free text and as '#k' and 'gen:...' shapes.
+ring arguments as catalog names with a character changed, products,
+GF(q) aliases and free text; ideal selectors as free text and as '#k' and
+'gen:...' shapes.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zdgenus.catalog import catalog_entries
 from zdgenus.cli import main
 
 SEED_SPECS = [
@@ -80,6 +83,42 @@ def test_ring_spec_file_exits_0_or_2(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz-ring.json"
     path.write_bytes(data)
     assert _exit_code(["ring", str(path)]) in (0, 2)
+
+
+NAMES = [e.name for e in catalog_entries()]
+GF_ALIASES = st.builds("{}({})".format, st.sampled_from(["GF", "gf", "Gf"]),
+                       st.integers(0, 130))
+NAME_CHARS = st.sampled_from("Z_F[]()x×,²³^+-0123456789 ") | st.characters()
+
+
+@st.composite
+def mutated_names(draw) -> str:
+    """A catalog name with one character replaced, inserted or deleted."""
+    name = draw(st.sampled_from(NAMES))
+    at = draw(st.integers(0, len(name) - 1))
+    action = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if action == "delete":
+        return name[:at] + name[at + 1:]
+    char = draw(NAME_CHARS)
+    return name[:at] + char + name[at + (action == "replace"):]
+
+
+RING_ARGS = (
+    mutated_names()
+    | st.builds(str.join, st.sampled_from(["×", "x"]),
+                st.lists(st.sampled_from(NAMES) | GF_ALIASES, min_size=2,
+                         max_size=3))
+    | GF_ALIASES
+    | st.text(max_size=12)
+    | st.builds("{}.json".format, st.text(max_size=8))
+)
+
+
+@settings(max_examples=150)
+@given(RING_ARGS)
+@example("\x00.json").via("a NUL in a spec path")
+def test_ring_argument_exits_0_or_2(arg):
+    assert _exit_code(["ring", arg]) in (0, 2)
 
 
 SELECTORS = (
