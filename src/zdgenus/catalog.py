@@ -227,10 +227,6 @@ def catalog() -> list[tuple[str, RingSpec]]:
     return [(e.name, e.spec) for e in catalog_entries()]
 
 
-def by_tag(tag: str) -> list[CatalogEntry]:
-    return [e for e in catalog_entries() if tag in e.tags]
-
-
 _SUPERSCRIPTS = str.maketrans(
     {"²": "^2", "³": "^3", "⁴": "^4", "⁵": "^5", "×": "x"}
 )

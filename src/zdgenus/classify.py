@@ -379,7 +379,7 @@ def _square_zero_universal_witness(t: RingTable):
     if g.n != 7:
         return
     elems = zero_divisors(t)
-    sq0 = [j for j, x in enumerate(elems) if int(t.mul[x, x]) == t.zero]
+    sq0 = [j for j, x in enumerate(elems) if t.mul[x][x] == t.zero]
     for ju in sq0:
         if g.degree(ju) != g.n - 1:
             continue
@@ -464,7 +464,7 @@ def _locals() -> tuple[_LocalRing, ...]:
         out.append(_LocalRing(
             _Instance(entry.name, "-", 0, "-", zero_divisor_graph(t)),
             t, t.order // len(nu),
-            all(int(t.mul[a, b]) == t.zero for a in nu for b in nu)))
+            all(t.mul[a][b] == t.zero for a in nu for b in nu)))
     return tuple(out)
 
 

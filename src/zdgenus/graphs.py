@@ -141,7 +141,7 @@ def zero_divisor_graph(t: RingTable) -> SimpleGraph:
     edges = [
         (pos[x], pos[y])
         for x, y in combinations(verts, 2)
-        if int(t.mul[x, y]) == t.zero
+        if t.mul[x][y] == t.zero
     ]
     return make_graph(len(verts), edges, tuple(t.labels[x] for x in verts))
 
@@ -157,14 +157,14 @@ def ideal_zero_divisor_graph(t: RingTable, i: IdealSet) -> SimpleGraph:
     verts = []
     for x in outside:
         row = t.mul[x]
-        if any(i.contains(int(row[y])) for y in outside):
+        if any(i.contains(row[y]) for y in outside):
             verts.append(x)
     verts.sort(key=lambda x: (q.projection[x], x))
     pos = {x: k for k, x in enumerate(verts)}
     edges = [
         (pos[x], pos[y])
         for x, y in combinations(verts, 2)
-        if i.contains(int(t.mul[x, y]))
+        if i.contains(t.mul[x][y])
     ]
     return make_graph(len(verts), edges, tuple(t.labels[x] for x in verts))
 

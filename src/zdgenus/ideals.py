@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotRadical, WholeRingIdeal, ZdgenusError
 from .rings import RingTable
 
@@ -37,7 +35,7 @@ class IdealSet:
         return _members(self.ring, self.mask)
 
     def contains(self, a: int) -> bool:
-        return bool(self.mask >> int(a) & 1)
+        return bool(self.mask >> a & 1)
 
     def is_zero(self) -> bool:
         return self.mask == 1 << self.ring.zero
@@ -84,15 +82,15 @@ def _members(t: RingTable, mask: int) -> list[int]:
     return [i for i in range(t.order) if mask >> i & 1]
 
 
-def _mask(elements: np.ndarray) -> int:
-    """Bitset of an array of element indices."""
-    bits = np.left_shift(np.uint64(1), elements.astype(np.uint64).ravel())
-    return int(np.bitwise_or.reduce(bits))
-
-
 def _ideal_sum(t: RingTable, a: int, b: int) -> int:
     """Mask of I + J = {i + j}, which is already an ideal."""
-    return _mask(t.add[np.ix_(_members(t, a), _members(t, b))])
+    js = _members(t, b)
+    out = 0
+    for i in _members(t, a):
+        row = t.add[i]
+        for j in js:
+            out |= 1 << row[j]
+    return out
 
 
 def validate_ideal(i: IdealSet) -> bool:
@@ -103,17 +101,20 @@ def validate_ideal(i: IdealSet) -> bool:
     ms = i.members()
     for a in ms:
         for b in ms:
-            if not i.contains(int(t.add[a, b])):
+            if not i.contains(t.add[a][b]):
                 return False
         for r in range(t.order):
-            if not i.contains(int(t.mul[r, a])):
+            if not i.contains(t.mul[r][a]):
                 return False
     return True
 
 
 def cyclic_ideal(t: RingTable, a: int) -> IdealSet:
     """The principal ideal Ra: column a of the multiplication table."""
-    return IdealSet(t, _mask(t.mul[:, int(a)]))
+    mask = 0
+    for row in t.mul:
+        mask |= 1 << row[a]
+    return IdealSet(t, mask)
 
 
 def enumerate_ideals(t: RingTable) -> list[IdealSet]:
@@ -168,14 +169,11 @@ def quotient(t: RingTable, i: IdealSet) -> QuotientRing:
         c = len(reps)
         reps.append(e)
         for m in members:
-            proj[int(t.add[e, m])] = c
+            proj[t.add[e][m]] = c
     order = len(reps)
-    add = np.zeros((order, order), dtype=np.int16)
-    mul = np.zeros((order, order), dtype=np.int16)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            add[a, b] = proj[int(t.add[ra, rb])]
-            mul[a, b] = proj[int(t.mul[ra, rb])]
+    add, mul = (
+        tuple(tuple(proj[op[ra][rb]] for rb in reps) for ra in reps)
+        for op in (t.add, t.mul))
     labels = tuple(t.labels[r] for r in reps)
     qt = RingTable(
         order=order,
@@ -201,7 +199,7 @@ def is_prime(i: IdealSet) -> bool:
     for a in outside:
         row = t.mul[a]
         for b in outside:
-            if i.contains(int(row[b])):
+            if i.contains(row[b]):
                 return False
     return True
 
@@ -214,7 +212,7 @@ def is_radical(i: IdealSet) -> bool:
             continue
         cur = x
         for _ in range(t.order):
-            cur = int(t.mul[cur, x])
+            cur = t.mul[cur][x]
             if i.contains(cur):
                 return False
     return True

@@ -7,12 +7,13 @@ indices.  Quotient algebras are built by monomial rewriting: each relation
 maps a monomial to a strictly smaller polynomial in a degree-then-lex order,
 or pins the additive order of a monomial (d*m -> 0).  Correctness of the
 resulting table is not assumed from confluence theory; it is enforced a
-posteriori by exhaustive axiom validation, a presentation check (n*1 = 0,
+posteriori by complete axiom validation, a presentation check (n*1 = 0,
 every relation holds at the variables' images, and those images generate
 the table, which together make the table the presented ring), and an
 expected-order check.
 
-Supported orders are small (hard cap 64), so every check is exhaustive.
+Supported orders are small (hard cap 64), so tables are plain tuples of
+Python ints and every check is complete.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import InvalidSpec, NonConfluentPresentation
 
@@ -156,11 +156,15 @@ def quotient_algebra(
 
 @dataclass(eq=False)
 class RingTable:
-    """A finite commutative ring as explicit index tables."""
+    """A finite commutative ring as explicit index tables.
+
+    ``add`` and ``mul`` are tuples of rows of Python ints over element
+    indices: ``add[a][b]`` is the index of a + b.  Tuples make a built table
+    immutable."""
 
     order: int
-    add: np.ndarray
-    mul: np.ndarray
+    add: tuple[tuple[int, ...], ...]
+    mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
     labels: tuple[str, ...]
@@ -168,21 +172,19 @@ class RingTable:
     spec: RingSpec | None = None
 
     def __post_init__(self):
-        self.add.setflags(write=False)
-        self.mul.setflags(write=False)
         self._label_index = {s: i for i, s in enumerate(self.labels)}
 
     def neg(self, a: int) -> int:
-        return int(np.where(self.add[a] == self.zero)[0][0])
+        return self.add[a].index(self.zero)
 
     def power(self, a: int, k: int) -> int:
         """a**k by square and multiply; relation exponents may be large."""
         out = self.one
         while k > 0:
             if k & 1:
-                out = int(self.mul[out, a])
+                out = self.mul[out][a]
             k >>= 1
-            a = int(self.mul[a, a])
+            a = self.mul[a][a]
         return out
 
     def index_of(self, label: str) -> int:
@@ -479,19 +481,19 @@ def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
         return out
 
     polys = [decode(i) for i in range(order)]
-    add = np.zeros((order, order), dtype=np.int16)
-    mul = np.zeros((order, order), dtype=np.int16)
+    add = [[0] * order for _ in range(order)]
+    mul = [[0] * order for _ in range(order)]
     for a in range(order):
         pa = polys[a]
         for b in range(a, order):
             pb = polys[b]
-            add[a, b] = add[b, a] = encode(
+            add[a][b] = add[b][a] = encode(
                 eng.normal_form(_poly_add(pa, pb, eng.n)))
             # a normal form is irreducible with every coefficient nonzero
             # mod its monomial's modulus, and every such monomial is in
             # the basis, since its divisors are irreducible with a modulus
             # at least its own
-            mul[a, b] = mul[b, a] = encode(
+            mul[a][b] = mul[b][a] = encode(
                 eng.normal_form(_poly_mul(pa, pb, eng.n)))
     labels = tuple(_poly_label(p, spec.variables) for p in polys)
     one = encode(eng.normal_form({(0,) * eng.nv: 1}))
@@ -500,8 +502,8 @@ def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
     images = [encode(eng.normal_form({m: 1})) for m in degree_one]
     return RingTable(
         order=order,
-        add=add,
-        mul=mul,
+        add=tuple(map(tuple, add)),
+        mul=tuple(map(tuple, mul)),
         zero=0,
         one=one,
         labels=labels,
@@ -526,9 +528,9 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
         for mono, c in poly.items():
             term = t.one
             for x, e in zip(images, mono):
-                term = int(t.mul[term, t.power(x, e)])
+                term = t.mul[term][t.power(x, e)]
             for _ in range(c):
-                total = int(t.add[total, term])
+                total = t.add[total][term]
         return total
 
     if evaluate({(0,) * len(images): spec.n}) != t.zero:
@@ -540,17 +542,13 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
             raise NonConfluentPresentation(
                 f"{spec.name}: relation {rule.lhs} = {rule.rhs} fails in "
                 "the built table; its rewrite rules disagree")
-    have = np.zeros(t.order, dtype=bool)
-    have[[t.zero, t.one, *images]] = True
+    have = {t.zero, t.one, *images}
     while True:
-        idx = np.flatnonzero(have)
-        grown = have.copy()
-        grown[t.add[np.ix_(idx, idx)].ravel()] = True
-        grown[t.mul[np.ix_(idx, idx)].ravel()] = True
-        if (grown == have).all():
+        grown = {op[a][b] for op in (t.add, t.mul) for a in have for b in have}
+        if grown <= have:
             break
-        have = grown
-    if not have.all():
+        have |= grown
+    if len(have) != t.order:
         raise NonConfluentPresentation(
             f"{spec.name}: the variables do not generate the built table")
 
@@ -568,19 +566,26 @@ _GF_RELATIONS = {
 def _build_zmod(n: int, name: str, spec: RingSpec) -> RingTable:
     if n > MAX_ORDER:
         raise InvalidSpec(f"ring order {n} exceeds maximum {MAX_ORDER}")
-    idx = np.arange(n)
-    add = np.add.outer(idx, idx) % n
-    mul = np.multiply.outer(idx, idx) % n
+    idx = tuple(range(n))
     return RingTable(
         order=n,
-        add=add.astype(np.int16),
-        mul=mul.astype(np.int16),
+        add=tuple(idx[a:] + idx[:a] for a in idx),
+        mul=tuple(tuple(a * b % n for b in idx) for a in idx),
         zero=0,
         one=1 % n,
         labels=tuple(str(i) for i in range(n)),
         name=name,
         spec=spec,
     )
+
+
+def _product_rows(a, b):
+    """The operation on pairs (x, y), indexed x * len(b) + y, that acts as
+    a on the first coordinate and as b on the second."""
+    m = len(b)
+    return tuple(
+        tuple(p + q for p in [v * m for v in ra] for q in rb)
+        for ra in a for rb in b)
 
 
 def product_tables(*tables: RingTable, name: str = "") -> RingTable:
@@ -592,21 +597,18 @@ def product_tables(*tables: RingTable, name: str = "") -> RingTable:
     strides = [1] * len(tables)
     for i in reversed(range(len(tables) - 1)):
         strides[i] = strides[i + 1] * tables[i + 1].order
-    idx = np.arange(order)
-    digits = [(idx // strides[i]) % t.order for i, t in enumerate(tables)]
-    add = np.zeros((order, order), dtype=np.int64)
-    mul = np.zeros((order, order), dtype=np.int64)
-    for d, t, stride in zip(digits, tables, strides):
-        add += t.add[np.ix_(d, d)].astype(np.int64) * stride
-        mul += t.mul[np.ix_(d, d)].astype(np.int64) * stride
+    add, mul = tables[0].add, tables[0].mul
+    for t in tables[1:]:
+        add, mul = _product_rows(add, t.add), _product_rows(mul, t.mul)
     labels = tuple(
-        "(" + ", ".join(t.labels[d[e]] for d, t in zip(digits, tables)) + ")"
+        "(" + ", ".join(t.labels[e // stride % t.order]
+                        for t, stride in zip(tables, strides)) + ")"
         for e in range(order)
     )
     return RingTable(
         order=order,
-        add=add.astype(np.int16),
-        mul=mul.astype(np.int16),
+        add=add,
+        mul=mul,
         zero=sum(t.zero * stride for t, stride in zip(tables, strides)),
         one=sum(t.one * stride for t, stride in zip(tables, strides)),
         labels=labels,
@@ -668,49 +670,81 @@ def build_ring(spec: RingSpec) -> RingTable:
 # === Validation =============================================================
 
 
-def validate_table(t: RingTable) -> ValidationReport:
-    """Exhaustively check all commutative-ring-with-1 axioms."""
-    report = ValidationReport()
-    n = t.order
-    A, M = t.add.astype(np.intp), t.mul.astype(np.intp)
-    idx = np.arange(n)
+def _additive_generators(t: RingTable) -> list[int]:
+    """Elements S from which every element is reached by the moves
+    y -> y + s, s in S: greedily, the least element not yet reached, with
+    zero tried last, since repeated addition usually reaches it."""
+    gens: list[int] = []
+    reached = 0
+    for e in (*range(t.zero + 1, t.order), *range(t.zero + 1)):
+        if reached >> e & 1:
+            continue
+        gens.append(e)
+        reached, todo = 0, list(gens)
+        while todo:
+            y = todo.pop()
+            if not reached >> y & 1:
+                reached |= 1 << y
+                todo.extend(t.add[y][s] for s in gens)
+    return gens
 
-    def witness(mask3) -> tuple:
-        w = np.argwhere(mask3)[0]
-        return tuple(int(x) for x in w)
+
+def validate_table(t: RingTable) -> ValidationReport:
+    """Check all commutative-ring-with-1 axioms, in O(n^2 |S|).
+
+    Commutativity, the identities and inverses are read off the rows.  The
+    three-variable laws are checked for every a and b but only for c in the
+    additive generators S (Light's associativity test): the set of c for
+    which a law holds for all a and b is closed under +, for
+    +-associativity outright, for distributivity once + is associative, and
+    for ·-associativity once · distributes.  The laws are checked in that
+    order, so the table passes only if every law holds everywhere.  Each
+    witness is a real counterexample; a table that fails one law may have
+    a later law that also fails left unnamed."""
+    report = ValidationReport()
+    n, A, M = t.order, t.add, t.mul
 
     if n < 2 or t.zero == t.one:
         report.violations.append(("zero-ne-one", (t.zero, t.one)))
-    if not np.array_equal(A, A.T):
-        i, j = np.argwhere(A != A.T)[0]
-        report.violations.append(("add-commutative", (int(i), int(j))))
-    if not np.array_equal(M, M.T):
-        i, j = np.argwhere(M != M.T)[0]
-        report.violations.append(("mul-commutative", (int(i), int(j))))
+    for name, op in (("add-commutative", A), ("mul-commutative", M)):
+        for i, (row, col) in enumerate(zip(op, zip(*op))):
+            if tuple(row) != col:
+                j = next(j for j in range(n) if row[j] != col[j])
+                report.violations.append((name, (i, j)))
+                break
 
-    la = A[A, :]
-    ra = A[idx[:, None, None], A[None, :, :]]
-    if not np.array_equal(la, ra):
-        report.violations.append(("add-associative", witness(la != ra)))
-    lm = M[M, :]
-    rm = M[idx[:, None, None], M[None, :, :]]
-    if not np.array_equal(lm, rm):
-        report.violations.append(("mul-associative", witness(lm != rm)))
+    # columns, so no witness leans on commutativity.  Each side of a law at
+    # c is a list over a of rows over b; pick_a[a](v) is v[A[a][b]] over b.
+    At, Mt = tuple(zip(*A)), tuple(zip(*M))
+    pick_a, pick_m = [itemgetter(*r) for r in A], [itemgetter(*r) for r in M]
+    laws = (
+        ("add-associative",  # (a + b) + c = a + (b + c)
+         lambda c: [p(At[c]) for p in pick_a],
+         lambda c: list(map(itemgetter(*At[c]), A))),
+        ("distributive",  # a(b + c) = ab + ac
+         lambda c: list(map(itemgetter(*At[c]), M)),
+         lambda c: [p(At[M[a][c]]) for a, p in enumerate(pick_m)]),
+        ("mul-associative",  # (ab)c = a(bc)
+         lambda c: [p(Mt[c]) for p in pick_m],
+         lambda c: list(map(itemgetter(*Mt[c]), M))),
+    )
+    gens = _additive_generators(t)
+    for name, lhs, rhs in laws:
+        for c in gens:
+            left, right = lhs(c), rhs(c)
+            if left != right:
+                a = next(a for a in range(n) if left[a] != right[a])
+                b = next(b for b in range(n) if left[a][b] != right[a][b])
+                report.violations.append((name, (a, b, c)))
+                break
 
-    ld = M[idx[:, None, None], A[None, :, :]]
-    rd = A[M[:, :, None], M[:, None, :]]
-    if not np.array_equal(ld, rd):
-        report.violations.append(("distributive", witness(ld != rd)))
-
-    if not np.array_equal(A[t.zero], idx):
-        bad = int(np.argwhere(A[t.zero] != idx)[0][0])
-        report.violations.append(("zero-identity", (t.zero, bad)))
-    if not np.array_equal(M[t.one], idx):
-        bad = int(np.argwhere(M[t.one] != idx)[0][0])
-        report.violations.append(("one-identity", (t.one, bad)))
-    has_neg = (A == t.zero).any(axis=1)
-    if not has_neg.all():
-        bad = int(np.argwhere(~has_neg)[0][0])
+    for name, e, op in (("zero-identity", t.zero, A),
+                        ("one-identity", t.one, M)):
+        bad = next((b for b in range(n) if op[e][b] != b), None)
+        if bad is not None:
+            report.violations.append((name, (e, bad)))
+    bad = next((a for a in range(n) if t.zero not in A[a]), None)
+    if bad is not None:
         report.violations.append(("additive-inverse", (bad,)))
     return report
 
@@ -720,36 +754,33 @@ def validate_table(t: RingTable) -> ValidationReport:
 
 def units(t: RingTable) -> list[int]:
     """Sorted indices of the elements with a multiplicative inverse."""
-    return [int(i) for i in np.flatnonzero((t.mul == t.one).any(axis=1))]
+    return [a for a, row in enumerate(t.mul) if t.one in row]
 
 
 def zero_divisors(t: RingTable) -> list[int]:
     """Sorted indices of the nonzero elements annihilated by some nonzero
     element."""
-    hits = t.mul == t.zero
-    hits[:, t.zero] = False
-    hits[t.zero] = False
-    return [int(i) for i in np.flatnonzero(hits.any(axis=1))]
+    z = t.zero
+    return [a for a, row in enumerate(t.mul)
+            if a != z and z in row[:z] + row[z + 1:]]
 
 
 def nilpotency_index(t: RingTable, a: int) -> int | None:
     """Smallest k >= 1 with a^k = 0, or None if a is not nilpotent."""
-    x = int(a)
-    cur = x
+    cur = a
     for k in range(1, t.order + 1):
         if cur == t.zero:
             return k
-        cur = int(t.mul[cur, x])
+        cur = t.mul[cur][a]
     return None
 
 
 def additive_order(t: RingTable, a: int) -> int:
-    x = int(a)
-    cur = x
+    cur = a
     for k in range(1, t.order + 1):
         if cur == t.zero:
             return k
-        cur = int(t.add[cur, x])
+        cur = t.add[cur][a]
     raise AssertionError("additive order not found; table invalid")
 
 
@@ -757,10 +788,10 @@ def is_local(t: RingTable) -> bool:
     """A ring is local when it has a single maximal ideal.  In a finite
     commutative ring that holds exactly when the non-units are closed under
     addition; they then form the maximal ideal."""
-    nonunit = np.ones(t.order, dtype=bool)
-    nonunit[units(t)] = False
-    nu = np.flatnonzero(nonunit)
-    return bool(nonunit[t.zero] and nonunit[t.add[np.ix_(nu, nu)]].all())
+    us = set(units(t))
+    nu = [a for a in range(t.order) if a not in us]
+    return t.zero not in us and all(
+        t.add[a][b] not in us for a in nu for b in nu)
 
 
 # === Isomorphism search =====================================================
@@ -769,9 +800,9 @@ def is_local(t: RingTable) -> bool:
 def _fingerprint(t: RingTable, unit_set: set[int]):
     fps = []
     for i in range(t.order):
-        ann = int((t.mul[i] == t.zero).sum())
+        ann = t.mul[i].count(t.zero)
         nil = nilpotency_index(t, i) or 0
-        idem = int(t.mul[i, i]) == i
+        idem = t.mul[i][i] == i
         fps.append((additive_order(t, i), nil, i in unit_set, ann, idem))
     return fps
 
@@ -813,8 +844,8 @@ def iso_check(a: RingTable, b: RingTable) -> list[int] | None:
                 if fwd[w] == -1:
                     continue
                 for op_a, op_b in ((a.add, b.add), (a.mul, b.mul)):
-                    s = int(op_a[u, w])
-                    tgt = int(op_b[v, fwd[w]])
+                    s = op_a[u][w]
+                    tgt = op_b[v][fwd[w]]
                     if fwd[s] == tgt:
                         continue
                     if fwd[s] != -1 or used[tgt] or fa[s] != fb[tgt]:

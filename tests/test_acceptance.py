@@ -11,7 +11,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from zdgenus import (
@@ -193,16 +192,17 @@ def test_criterion_8_randomized_backstops():
         t = catalog_ring(ring_pool[k % len(ring_pool)])
         perm = list(range(t.order))
         rng.shuffle(perm)
-        add2 = np.empty_like(t.add)
-        mul2 = np.empty_like(t.mul)
+        add2 = [[0] * t.order for _ in range(t.order)]
+        mul2 = [[0] * t.order for _ in range(t.order)]
         labels2 = [""] * t.order
         for i in range(t.order):
             labels2[perm[i]] = t.labels[i]
             for j in range(t.order):
-                add2[perm[i], perm[j]] = perm[int(t.add[i, j])]
-                mul2[perm[i], perm[j]] = perm[int(t.mul[i, j])]
+                add2[perm[i]][perm[j]] = perm[t.add[i][j]]
+                mul2[perm[i]][perm[j]] = perm[t.mul[i][j]]
         shuffled = RingTable(
-            order=t.order, add=add2, mul=mul2, zero=perm[t.zero],
+            order=t.order, add=tuple(map(tuple, add2)),
+            mul=tuple(map(tuple, mul2)), zero=perm[t.zero],
             one=perm[t.one], labels=tuple(labels2), name=t.name + " shuffled",
         )
         w = iso_check(t, shuffled)
@@ -210,8 +210,8 @@ def test_criterion_8_randomized_backstops():
         assert w[t.zero] == shuffled.zero and w[t.one] == shuffled.one
         for i in range(t.order):
             for j in range(t.order):
-                assert w[int(t.add[i, j])] == int(shuffled.add[w[i], w[j]])
-                assert w[int(t.mul[i, j])] == int(shuffled.mul[w[i], w[j]])
+                assert w[t.add[i][j]] == shuffled.add[w[i]][w[j]]
+                assert w[t.mul[i][j]] == shuffled.mul[w[i]][w[j]]
 
 
 def test_full_sweep_passes_within_time_budget(sweep):

@@ -60,10 +60,10 @@ def test_quotient_z12_by_4(z12):
     # the projection is a ring homomorphism onto coset indices
     for a in range(12):
         for b in range(12):
-            assert q.projection[int(z12.add[a, b])] == int(
-                q.table.add[q.projection[a], q.projection[b]])
-            assert q.projection[int(z12.mul[a, b])] == int(
-                q.table.mul[q.projection[a], q.projection[b]])
+            assert q.projection[z12.add[a][b]] == \
+                q.table.add[q.projection[a]][q.projection[b]]
+            assert q.projection[z12.mul[a][b]] == \
+                q.table.mul[q.projection[a]][q.projection[b]]
 
 
 def test_quotient_coset_reps(z12):
@@ -134,7 +134,7 @@ def _ref_sum_closure(t, mask):
 def _ref_cyclic(t, a):
     mask = 0
     for r in range(t.order):
-        mask |= 1 << int(t.mul[r, int(a)])
+        mask |= 1 << t.mul[r][a]
     return _ref_sum_closure(t, mask)
 
 

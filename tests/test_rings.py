@@ -1,4 +1,9 @@
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdgenus import (
     InvalidSpec,
@@ -17,14 +22,20 @@ from zdgenus import (
     units,
     zmod,
 )
-from zdgenus.rings import MAX_ORDER, validate_table, zero_divisors
+from zdgenus.rings import (
+    MAX_ORDER,
+    RingTable,
+    ValidationReport,
+    validate_table,
+    zero_divisors,
+)
 
 
 def test_zmod_tables():
     t = build_ring(zmod(6))
     assert t.order == 6 and t.zero == 0 and t.one == 1
-    assert int(t.add[4, 5]) == 3
-    assert int(t.mul[4, 5]) == 2
+    assert t.add[4][5] == 3
+    assert t.mul[4][5] == 2
     assert t.labels == ("0", "1", "2", "3", "4", "5")
 
 
@@ -56,7 +67,7 @@ def test_units_closed(z8):
     assert us == {1, 3, 5, 7}
     for a in us:
         for b in us:
-            assert int(z8.mul[a, b]) in us
+            assert z8.mul[a][b] in us
 
 
 def test_power_and_neg(z8):
@@ -73,7 +84,7 @@ def test_quotient_algebra_f4():
     t = build_ring(gf(2, 2))
     a = t.index_of("a")
     # a^2 = a + 1 and a^3 = 1 in F_4
-    assert int(t.mul[a, a]) == int(t.add[a, t.one])
+    assert t.mul[a][a] == t.add[a][t.one]
     assert t.power(a, 3) == t.one
 
 
@@ -110,7 +121,7 @@ def test_product_tables_n_ary_matches_product_spec():
     assert t.name == spec_built.name == "Z_2×Z_2×Z_5"
     assert t.labels == spec_built.labels
     assert t.labels[1] == "(0, 0, 1)" and t.labels[5] == "(0, 1, 0)"
-    assert (t.add == spec_built.add).all() and (t.mul == spec_built.mul).all()
+    assert t.add == spec_built.add and t.mul == spec_built.mul
     assert (t.zero, t.one) == (spec_built.zero, spec_built.one) == (0, 16)
     assert t.spec is None and spec_built.spec is not None
 
@@ -156,10 +167,8 @@ def test_iso_check_positive():
     assert sorted(witness) == list(range(6))
     for a in range(6):
         for b in range(6):
-            assert witness[int(z6.add[a, b])] == int(
-                t.add[witness[a], witness[b]])
-            assert witness[int(z6.mul[a, b])] == int(
-                t.mul[witness[a], witness[b]])
+            assert witness[z6.add[a][b]] == t.add[witness[a]][witness[b]]
+            assert witness[z6.mul[a][b]] == t.mul[witness[a]][witness[b]]
 
 
 def test_iso_check_negative():
@@ -194,7 +203,167 @@ def test_zero_divisors_match_definition():
         z = t.zero
         expected = [
             x for x in range(t.order)
-            if x != z and any(int(t.mul[x, y]) == z
+            if x != z and any(t.mul[x][y] == z
                               for y in range(t.order) if y != z)
         ]
         assert zero_divisors(t) == expected, entry.name
+
+
+# === Oracle for validate_table ==============================================
+#
+# The reference below is the brute-force numpy check validate_table used
+# before it ran the three-variable laws over additive generators only.  It
+# is kept verbatim, but for reading tuple rows into arrays, so the reduced
+# check is tested against it and not against itself.
+
+
+def _ref_validate(t):
+    report = ValidationReport()
+    n = t.order
+    A, M = np.array(t.add, dtype=np.intp), np.array(t.mul, dtype=np.intp)
+    idx = np.arange(n)
+
+    def witness(mask3) -> tuple:
+        w = np.argwhere(mask3)[0]
+        return tuple(int(x) for x in w)
+
+    if n < 2 or t.zero == t.one:
+        report.violations.append(("zero-ne-one", (t.zero, t.one)))
+    if not np.array_equal(A, A.T):
+        i, j = np.argwhere(A != A.T)[0]
+        report.violations.append(("add-commutative", (int(i), int(j))))
+    if not np.array_equal(M, M.T):
+        i, j = np.argwhere(M != M.T)[0]
+        report.violations.append(("mul-commutative", (int(i), int(j))))
+
+    la = A[A, :]
+    ra = A[idx[:, None, None], A[None, :, :]]
+    if not np.array_equal(la, ra):
+        report.violations.append(("add-associative", witness(la != ra)))
+    lm = M[M, :]
+    rm = M[idx[:, None, None], M[None, :, :]]
+    if not np.array_equal(lm, rm):
+        report.violations.append(("mul-associative", witness(lm != rm)))
+
+    ld = M[idx[:, None, None], A[None, :, :]]
+    rd = A[M[:, :, None], M[:, None, :]]
+    if not np.array_equal(ld, rd):
+        report.violations.append(("distributive", witness(ld != rd)))
+
+    if not np.array_equal(A[t.zero], idx):
+        bad = int(np.argwhere(A[t.zero] != idx)[0][0])
+        report.violations.append(("zero-identity", (t.zero, bad)))
+    if not np.array_equal(M[t.one], idx):
+        bad = int(np.argwhere(M[t.one] != idx)[0][0])
+        report.violations.append(("one-identity", (t.one, bad)))
+    has_neg = (A == t.zero).any(axis=1)
+    if not has_neg.all():
+        bad = int(np.argwhere(~has_neg)[0][0])
+        report.violations.append(("additive-inverse", (bad,)))
+    return report
+
+
+def _table(add, mul, zero=0, one=1):
+    n = len(add)
+    return RingTable(n, tuple(map(tuple, add)), tuple(map(tuple, mul)),
+                     zero, one, tuple(str(i) for i in range(n)))
+
+
+def _names(report):
+    return {name for name, _ in report.violations}
+
+
+# whether (a, b, c) breaks each three-variable law in t
+_BREAKS = {
+    "add-associative": lambda A, M, a, b, c: A[A[a][b]][c] != A[a][A[b][c]],
+    "distributive": lambda A, M, a, b, c: M[a][A[b][c]] != A[M[a][b]][M[a][c]],
+    "mul-associative": lambda A, M, a, b, c: M[M[a][b]][c] != M[a][M[b][c]],
+}
+
+_SMALL_RINGS = [e.name for e in catalog_entries()
+                if catalog_ring(e.name).order <= 16]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_SMALL_RINGS), st.sampled_from(["add", "mul"]),
+       st.booleans(), st.data())
+def test_validate_table_matches_brute_force_on_corruptions(name, op, mirror,
+                                                           data):
+    t = catalog_ring(name)
+    idx = st.integers(min_value=0, max_value=t.order - 1)
+    a, b, v = data.draw(idx), data.draw(idx), data.draw(idx)
+    rows = {"add": [list(r) for r in t.add], "mul": [list(r) for r in t.mul]}
+    rows[op][a][b] = v
+    if mirror:  # keeps the table commutative
+        rows[op][b][a] = v
+    bad = _table(rows["add"], rows["mul"], t.zero, t.one)
+    _assert_agrees(bad)
+
+
+def _assert_agrees(t):
+    new, ref = validate_table(t), _ref_validate(t)
+    assert bool(new) == bool(ref)
+    assert _names(new) <= _names(ref)
+    # each three-variable law is decided exactly while the ones before hold
+    for law in _BREAKS:
+        assert (law in _names(new)) == (law in _names(ref))
+        if law in _names(ref):
+            break
+    for law, w in new.violations:
+        if law in _BREAKS:
+            assert _BREAKS[law](t.add, t.mul, *w)
+
+
+def test_validate_table_matches_brute_force_on_f2_algebras():
+    """Every commutative F_2-algebra on 1, x, y: bilinear, so + is
+    associative and · distributes, and ·-associativity needs every
+    additive generator as c."""
+    for x2, xy, y2 in itertools.product(range(8), repeat=3):
+        _assert_agrees(_table(*_bilinear_f2(
+            [[1, 2, 4], [2, x2, xy], [4, xy, y2]])))
+
+
+def _z3(**changes):
+    add = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    mul = [[a * b % 3 for b in range(3)] for a in range(3)]
+    for key, v in changes.items():
+        op, a, b = key.split("_")
+        (add if op == "add" else mul)[int(a)][int(b)] = v
+    return add, mul
+
+
+def _bilinear_f2(products):
+    """The F_2-bilinear product on bit vectors with the given products of
+    basis vectors, and XOR as addition."""
+    n = 1 << len(products)
+    mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for i, row in enumerate(products):
+                for j, p in enumerate(row):
+                    if a >> i & 1 and b >> j & 1:
+                        mul[a][b] ^= p
+    return [[a ^ b for b in range(n)] for a in range(n)], mul
+
+
+@pytest.mark.parametrize("law, table", [
+    ("zero-ne-one", lambda: _table(*_z3(), one=0)),
+    ("add-commutative", lambda: _table(*_z3(add_0_1=2))),
+    ("mul-commutative", lambda: _table(*_z3(mul_1_2=1))),
+    ("add-associative", lambda: _table(*_z3(add_1_1=1))),
+    ("distributive", lambda: _table(*_z3(mul_2_2=2))),
+    # F_2-span of 1, x, y with x^2 = y, xy = x, y^2 = 0: commutative and
+    # distributive, but (xx)y = 0 while x(xy) = y
+    ("mul-associative", lambda: _table(*_bilinear_f2(
+        [[1, 2, 4], [2, 4, 2], [4, 2, 0]]))),
+    ("zero-identity", lambda: _table(
+        [[(a + b + 1) % 3 for b in range(3)] for a in range(3)], _z3()[1])),
+    ("one-identity", lambda: _table(*_z3(), one=2)),
+    ("additive-inverse", lambda: _table(
+        [[max(a, b) for b in range(3)] for a in range(3)], _z3()[1])),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_validate_table_names_each_law(law, table):
+    t = table()
+    names = _names(validate_table(t))
+    assert law in names
+    assert names <= _names(_ref_validate(t))

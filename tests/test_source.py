@@ -48,18 +48,31 @@ def test_no_graph_library_imports(path):
     assert not lines, f"{path.name}: networkx imported at lines {lines}"
 
 
-def cli_import_loads(module):
-    """'True' or 'False': whether importing zdgenus.cli in a fresh
-    interpreter loads module."""
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_imports(path):
+    """Ring tables are tuple rows of Python ints; numpy is the test oracle
+    for validate_table only."""
+    lines = imported_at(path, "numpy")
+    assert not lines, f"{path.name}: numpy imported at lines {lines}"
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports zdgenus from src/."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, zdgenus.cli; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    return out.strip()
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True)
+
+
+def cli_import_loads(module):
+    """'True' or 'False': whether importing zdgenus.cli in a fresh
+    interpreter loads module."""
+    proc = run_python(
+        f"import sys, zdgenus.cli; print({module!r} in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_cli_import_leaves_sympy_unloaded():
@@ -68,3 +81,23 @@ def test_cli_import_leaves_sympy_unloaded():
 
 def test_cli_import_leaves_networkx_unloaded():
     assert cli_import_loads("networkx") == "False"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert cli_import_loads("numpy") == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "Z_2×Z_4"],
+    ["ideals", "Z_2×Z_4"],
+    ["graph", "Z_2×Z_4", "#1"],
+    ["genus", "Z_2×Z_4", "#1"],
+], ids=lambda argv: argv[0])
+def test_cli_runs_with_numpy_blocked(argv):
+    """A None entry in sys.modules makes every import of numpy fail."""
+    run = "from zdgenus.cli import main; sys.exit(main(sys.argv[1:]))"
+    blocked = run_python(f"import sys; sys.modules['numpy'] = None; {run}",
+                         *argv)
+    plain = run_python(f"import sys; {run}", *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == plain.stdout
