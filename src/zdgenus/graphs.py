@@ -15,7 +15,7 @@ from math import inf
 
 from .errors import InvalidSpec, MTooLarge, TooLarge, WholeRingIdeal
 from .rings import RingTable, zero_divisors
-from .ideals import IdealSet, quotient
+from .ideals import IdealSet
 
 
 # === Core structure =========================================================
@@ -149,17 +149,17 @@ def zero_divisor_graph(t: RingTable) -> SimpleGraph:
 def ideal_zero_divisor_graph(t: RingTable, i: IdealSet) -> SimpleGraph:
     """Graph on elements outside I that multiply into I with a partner
     outside I; edges join pairs whose product lands in I.  Vertices are
-    sorted by (coset index, element index)."""
+    sorted by (least element of their coset, element index)."""
     if i.is_whole():
         raise WholeRingIdeal("the whole ring leaves no outside elements")
-    q = quotient(t, i)
+    members = i.members()
     outside = [x for x in range(t.order) if not i.contains(x)]
     verts = []
     for x in outside:
         row = t.mul[x]
         if any(i.contains(row[y]) for y in outside):
             verts.append(x)
-    verts.sort(key=lambda x: (q.projection[x], x))
+    verts.sort(key=lambda x: (min(t.add[x][m] for m in members), x))
     pos = {x: k for k, x in enumerate(verts)}
     edges = [
         (pos[x], pos[y])

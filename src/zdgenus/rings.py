@@ -5,12 +5,14 @@ product, or a quotient algebra Z_n[x_1..x_k]/(relations)) and realized as a
 RingTable holding full addition and multiplication tables over element
 indices.  Quotient algebras are built by monomial rewriting: each relation
 maps a monomial to a strictly smaller polynomial in a degree-then-lex order,
-or pins the additive order of a monomial (d*m -> 0).  Correctness of the
-resulting table is not assumed from confluence theory; it is enforced a
-posteriori by complete axiom validation, a presentation check (n*1 = 0,
-every relation holds at the variables' images, and those images generate
-the table, which together make the table the presented ring), and an
-expected-order check.
+or pins the additive order of a monomial (d*m -> 0).  The irreducible
+monomials form the basis; sums are digit-wise on their coefficients, and
+products are bilinear, so only the products of basis monomials are
+rewritten.  Correctness of the resulting table is not assumed from
+confluence theory; it is enforced a posteriori by complete axiom
+validation, a presentation check (n*1 = 0, every relation holds at the
+variables' images, and those images generate the table, which together
+make the table the presented ring), and an expected-order check.
 
 Supported orders are small (hard cap 64), so tables are plain tuples of
 Python ints and every check is complete.
@@ -344,7 +346,6 @@ class _QuotientEngine:
         self.modulus_rules: list[tuple[tuple[int, ...], int]] = []
         for rule in spec.relations:
             self._install(rule)
-        self._mod_cache: dict[tuple[int, ...], int] = {}
 
     def _install(self, rule: RewriteRule):
         lhs = _parse_poly(rule.lhs, self.variables, self.n)
@@ -377,13 +378,10 @@ class _QuotientEngine:
 
     def modulus(self, mono: tuple[int, ...]) -> int:
         """Additive order bound of a monomial under the modulus rules."""
-        if mono in self._mod_cache:
-            return self._mod_cache[mono]
         d = self.n
         for rm, rd in self.modulus_rules:
             if _divides(rm, mono):
                 d = gcd(d, rd)
-        self._mod_cache[mono] = d
         return d
 
     def _reducible_by(self, mono: tuple[int, ...]):
@@ -451,58 +449,57 @@ class _QuotientEngine:
 
 def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
     """The table of Z_n[vars] modulo the rewrite rules, and the index of
-    each variable's image."""
+    each variable's image.
+
+    An element is its coefficient vector on the basis monomials, read as
+    mixed-radix digits with the first monomial least significant.  Sums
+    are digit-wise, and products are bilinear in the normal forms of the
+    |basis|^2 products of basis monomials; nothing else is rewritten."""
     eng = _QuotientEngine(spec)
     basis = eng.basis()
     moduli = [eng.modulus(m) for m in basis]
-    order = 1
-    for d in moduli:
-        order *= d
+    order = prod(moduli)
     if order > MAX_ORDER:
         raise InvalidSpec(f"ring order {order} exceeds maximum {MAX_ORDER}")
-
-    weights = [1] * len(basis)
-    for i in range(1, len(basis)):
-        weights[i] = weights[i - 1] * moduli[i - 1]
+    weights = [prod(moduli[:i]) for i in range(len(basis))]
 
     def encode(poly: dict) -> int:
-        idx = 0
-        for m, c in poly.items():
-            i = basis.index(m)
-            idx += (c % moduli[i]) * weights[i]
-        return idx
+        # a normal form is irreducible with every coefficient nonzero mod
+        # its monomial's modulus, and every such monomial is in the basis,
+        # since its divisors are irreducible with a modulus at least its own
+        return sum(c * weights[basis.index(m)] for m, c in poly.items())
 
-    def decode(idx: int) -> dict:
-        out = {}
-        for i in reversed(range(len(basis))):
-            c, idx = divmod(idx, weights[i])
-            if c:
-                out[basis[i]] = c
-        return out
-
-    polys = [decode(i) for i in range(order)]
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    for a in range(order):
-        pa = polys[a]
-        for b in range(a, order):
-            pb = polys[b]
-            add[a][b] = add[b][a] = encode(
-                eng.normal_form(_poly_add(pa, pb, eng.n)))
-            # a normal form is irreducible with every coefficient nonzero
-            # mod its monomial's modulus, and every such monomial is in
-            # the basis, since its divisors are irreducible with a modulus
-            # at least its own
-            mul[a][b] = mul[b][a] = encode(
-                eng.normal_form(_poly_mul(pa, pb, eng.n)))
-    labels = tuple(_poly_label(p, spec.variables) for p in polys)
+    add = ((0,),)  # Z_d for each digit, the first least significant
+    for d in reversed(moduli):
+        add = _product_rows(add, _build_zmod(d, "", None).add)
+    digits = [[e // w % d for w, d in zip(weights, moduli)]
+              for e in range(order)]
+    # for e > 0, e is rest[e] plus the basis monomial at its least nonzero
+    # digit, low[e], and rest[e] < e
+    low = [next((k for k, c in enumerate(ds) if c), 0) for ds in digits]
+    rest = [e - weights[k] for e, k in enumerate(low)]
+    mul = [[0] * order]
+    for a in range(1, order):
+        k = low[a]
+        if a == weights[k]:  # b_k e = b_k rest[e] + b_k b_low[e]
+            prods = [encode(eng.normal_form({_mono_mul(basis[k], m): 1}))
+                     for m in basis]
+            row = [0] * order
+            for e in range(1, order):
+                row[e] = add[row[rest[e]]][prods[low[e]]]
+        else:  # a e = rest[a] e + b_k e
+            row = [add[x][y] for x, y in zip(mul[rest[a]], mul[weights[k]])]
+        mul.append(row)
+    labels = tuple(
+        _poly_label({m: c for m, c in zip(basis, ds) if c}, spec.variables)
+        for ds in digits)
     one = encode(eng.normal_form({(0,) * eng.nv: 1}))
     degree_one = [tuple(int(i == j) for j in range(eng.nv))
                   for i in range(eng.nv)]
     images = [encode(eng.normal_form({m: 1})) for m in degree_one]
     return RingTable(
         order=order,
-        add=tuple(map(tuple, add)),
+        add=add,
         mul=tuple(map(tuple, mul)),
         zero=0,
         one=one,

@@ -16,6 +16,7 @@ from zdgenus import (
     face_trace,
     genus_biclique,
     genus_complete,
+    ideal_zero_divisor_graph,
     is_planar,
     k4_attachment_bound,
     make_graph,
@@ -23,6 +24,7 @@ from zdgenus import (
     subgraph_lower_bound,
 )
 from zdgenus.classify import attached_k4_graph
+from zdgenus.cli import resolve_ideal, resolve_ring
 from zdgenus import genus as genus_module
 from zdgenus.errors import HypothesisNotMet, InvalidSpec, ZdgenusError
 from zdgenus.genus import planar_rotation
@@ -189,6 +191,20 @@ def test_k4_attachment_bound_hypotheses():
 def test_exact_genus_h_is_bounded_by_attached_k4():
     h, _ = attached_k4_graph()
     assert exact_genus(h).provenance[0] == "attached K4 bound 2"
+
+
+def test_attached_k4_scan_beats_closed_form_on_universe_pair():
+    # a pair of the benchmark's queries universe where the attached-K4
+    # scan, not the closed form, sets the bound; the benchmark's reference
+    # interval there is [3, unknown], so it would not see the bound fall
+    # back to the closed form's 3
+    t = resolve_ring("Z_2×Z_2[x,y]/(x³,xy,y²-x²)")
+    g = ideal_zero_divisor_graph(t, resolve_ideal(t, "#2"))
+    assert (g.n, g.m) == (14, 47)
+    assert closed_form_bound(g)[0] == 3
+    b = exact_genus(g, 10**6)
+    assert (b.lower, b.upper) == (4, None)
+    assert b.provenance == ("attached K4 bound 4", "too many edges for search")
 
 
 def test_exact_genus_k4_bridged_to_k5():

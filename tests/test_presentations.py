@@ -3,6 +3,8 @@ build is refused.  sympy's Gröbner bases over Z_p are the oracle."""
 
 import hashlib
 import struct
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +17,21 @@ from zdgenus import (
     build_ring,
     catalog_entries,
     catalog_ring,
+    find_catalog,
     quotient_algebra,
 )
-from zdgenus.rings import _build_quotient, _deglex_key
+from zdgenus import rings
+from zdgenus.rings import (
+    MAX_ORDER,
+    RingSpec,
+    RingTable,
+    _build_quotient,
+    _deglex_key,
+    _poly_add,
+    _poly_label,
+    _poly_mul,
+    _QuotientEngine,
+)
 
 # SHA-256 over name, order, zero, one, labels, the dtype "<i2" twice and
 # the add and mul entries as int16 little-endian bytes of the 100 catalog
@@ -105,3 +119,151 @@ def test_built_order_matches_groebner(drawn):
         assert want < unchecked.order
     else:
         assert table.order == want
+
+
+# === Oracle for _build_quotient =============================================
+#
+# The reference below is the builder that rewrote every sum and product to
+# its normal form, kept verbatim.  An accepted table is the presented ring,
+# in which each normal form is the unique representative of its element, so
+# both builders must give the same table entry by entry; a refused table is
+# larger than the presented ring, whichever builder made it.
+
+
+def _ref_build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
+    """The table of Z_n[vars] modulo the rewrite rules, and the index of
+    each variable's image."""
+    eng = _QuotientEngine(spec)
+    basis = eng.basis()
+    moduli = [eng.modulus(m) for m in basis]
+    order = 1
+    for d in moduli:
+        order *= d
+    if order > MAX_ORDER:
+        raise InvalidSpec(f"ring order {order} exceeds maximum {MAX_ORDER}")
+
+    weights = [1] * len(basis)
+    for i in range(1, len(basis)):
+        weights[i] = weights[i - 1] * moduli[i - 1]
+
+    def encode(poly: dict) -> int:
+        idx = 0
+        for m, c in poly.items():
+            i = basis.index(m)
+            idx += (c % moduli[i]) * weights[i]
+        return idx
+
+    def decode(idx: int) -> dict:
+        out = {}
+        for i in reversed(range(len(basis))):
+            c, idx = divmod(idx, weights[i])
+            if c:
+                out[basis[i]] = c
+        return out
+
+    polys = [decode(i) for i in range(order)]
+    add = [[0] * order for _ in range(order)]
+    mul = [[0] * order for _ in range(order)]
+    for a in range(order):
+        pa = polys[a]
+        for b in range(a, order):
+            pb = polys[b]
+            add[a][b] = add[b][a] = encode(
+                eng.normal_form(_poly_add(pa, pb, eng.n)))
+            # a normal form is irreducible with every coefficient nonzero
+            # mod its monomial's modulus, and every such monomial is in
+            # the basis, since its divisors are irreducible with a modulus
+            # at least its own
+            mul[a][b] = mul[b][a] = encode(
+                eng.normal_form(_poly_mul(pa, pb, eng.n)))
+    labels = tuple(_poly_label(p, spec.variables) for p in polys)
+    one = encode(eng.normal_form({(0,) * eng.nv: 1}))
+    degree_one = [tuple(int(i == j) for j in range(eng.nv))
+                  for i in range(eng.nv)]
+    images = [encode(eng.normal_form({m: 1})) for m in degree_one]
+    return RingTable(
+        order=order,
+        add=tuple(map(tuple, add)),
+        mul=tuple(map(tuple, mul)),
+        zero=0,
+        one=one,
+        labels=labels,
+        name=spec.name,
+        spec=spec,
+    ), images
+
+
+def _outcome(spec: RingSpec, builder):
+    """What build_ring makes of spec with builder for quotient algebras:
+    the table's add, mul, one, labels and variable images, "refused", or
+    the InvalidSpec message."""
+    with mock.patch.object(rings, "_build_quotient", builder):
+        try:
+            t = build_ring(spec)
+        except NonConfluentPresentation:
+            return "refused"
+        except InvalidSpec as exc:
+            return f"InvalidSpec: {exc}"
+    images = builder(spec)[1] if spec.kind == "quotient" else None
+    return t.add, t.mul, t.one, t.labels, images
+
+
+@st.composite
+def presentations(draw):
+    """Z_n[x, y]/(relations) for n in {2, 3, 4, 8, 9}: a few drawn rules,
+    whose left coefficient may be a non-unit, then pure powers of x and y.
+    A non-unit left coefficient mostly comes with right side 0, a modulus
+    rule; otherwise the spec is invalid."""
+    n = draw(st.sampled_from([2, 3, 4, 8, 9]))
+
+    def rule(lhs, coeff=1):
+        below = [(i, j) for i in range(4) for j in range(4)
+                 if _deglex_key((i, j)) < _deglex_key(lhs)]
+        rhs = draw(st.dictionaries(st.sampled_from(below),
+                                   st.integers(1, n - 1), max_size=3))
+        if gcd(coeff, n) > 1 and draw(st.integers(0, 3)):
+            rhs = {}
+        return (_render({lhs: coeff}), _render(rhs))
+
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda m: sum(m) >= 1)
+    drawn = [rule(m, draw(st.integers(1, n - 1)))
+             for m in draw(st.lists(monomial, max_size=3))]
+    powers = [rule((draw(st.integers(1, 3)), 0)),
+              rule((0, draw(st.integers(1, 3))))]
+    return n, drawn + powers
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+@example((4, [("2*x", "0"), ("x^2", "0"), ("y^2", "0")]))
+@example((2, [("x", "0"), ("x", "1"), ("x^1", "0"), ("y", "0")]))
+def test_builder_matches_rewriting_every_entry(drawn):
+    n, relations = drawn
+    spec = quotient_algebra(n, ("x", "y"), relations, "drawn")
+    assert _outcome(spec, _build_quotient) == \
+        _outcome(spec, _ref_build_quotient)
+
+
+def test_builder_matches_rewriting_every_entry_on_catalog():
+    for entry in catalog_entries():
+        new = _outcome(entry.spec, _build_quotient)
+        assert new == _outcome(entry.spec, _ref_build_quotient), entry.name
+        assert not isinstance(new, str), entry.name
+
+
+def test_quotient_build_rewrites_only_basis_products():
+    # F_8[x]/(x²) has 64 elements on 6 basis monomials in a and x: 6²
+    # products of basis monomials, then 1 and the two variables
+    calls = []
+    normal_form = _QuotientEngine.normal_form
+
+    def counted(self, poly):
+        calls.append(poly)
+        return normal_form(self, poly)
+
+    spec = find_catalog("F_8[x]/(x²)").spec  # catalog_ring caches tables
+    with mock.patch.object(_QuotientEngine, "normal_form", counted):
+        t = build_ring(spec)
+    assert t.order == 64
+    assert 0 < len(calls) <= 6 ** 2 + 2 + 1
