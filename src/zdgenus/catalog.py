@@ -41,8 +41,8 @@ def _q(name, n, variables, relations, generators, order, tags):
     return CatalogEntry(name, spec, tuple(generators), frozenset(tags))
 
 
-def _p(factors, tags, name=None):
-    spec = product(*factors, name=name)
+def _p(factors, tags):
+    spec = product(*factors)
     return CatalogEntry(spec.name, spec, (), frozenset(tags | {"product"}))
 
 
@@ -174,37 +174,22 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
            ["3*x^2 - 2", "x^5"], 32, g1),
     ]
 
-    # rings with exactly two maximal ideals and planar graphs at small ideals
+    # rings with exactly two maximal ideals and planar graphs at small
+    # ideals; each factor is the spec of the entry of its name above
     tm = {"two-max"}
-    for q in [2, 3, 4, 5, 7, 8, 9]:
-        fq = gf(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}[q]) if q in (4, 8, 9) else zmod(q)
-        for base in (zmod(2), zmod(3)):
-            pair = sorted([base, fq], key=lambda s: (s.n or s.p**s.k, s.name))
+    spec = {e.name: e.spec for e in entries}
+    for q in ["Z_2", "Z_3", "F_4", "Z_5", "Z_7", "F_8", "F_9"]:
+        for base in ("Z_2", "Z_3"):
+            pair = sorted([spec[base], spec[q]],
+                          key=lambda s: (s.expected_order, s.name))
             entries.append(_p(pair, tm))
-    zx2 = quotient_algebra(2, ("x",), [("x^2", "0")], "Z_2[x]/(x²)",
-                           expected_order=4)
-    zx3 = quotient_algebra(2, ("x",), [("x^3", "0")], "Z_2[x]/(x³)",
-                           expected_order=8)
-    z3x2 = quotient_algebra(3, ("x",), [("x^2", "0")], "Z_3[x]/(x²)",
-                            expected_order=9)
-    z4q = quotient_algebra(4, ("x",),
-                           [("x^2", "2"), ("x^3", "0"), ("2*x", "0")],
-                           "Z_4[x]/(x²-2,x³)", expected_order=8)
-    entries += [
-        _p([zmod(2), zmod(9)], tm),
-        _p([zmod(2), z3x2], tm),
-        _p([zmod(2), zmod(4)], tm),
-        _p([zmod(2), zx2], tm),
-        _p([zmod(2), zx3], tm),
-        _p([zmod(2), z4q], tm),
-        _p([zmod(2), zmod(8)], tm),
-        _p([zmod(3), zmod(9)], tm),
-        _p([zmod(3), z3x2], tm),
-        _p([zmod(3), zmod(4)], tm),
-        _p([zmod(3), zx2], tm),
-        _p([zmod(2), zmod(2), zmod(2)], tm),
-        _p([zmod(2), zmod(2), zmod(3)], tm),
-    ]
+    for names in [("Z_2", "Z_9"), ("Z_2", "Z_3[x]/(x²)"), ("Z_2", "Z_4"),
+                  ("Z_2", "Z_2[x]/(x²)"), ("Z_2", "Z_2[x]/(x³)"),
+                  ("Z_2", "Z_4[x]/(x²-2,x³)"), ("Z_2", "Z_8"),
+                  ("Z_3", "Z_9"), ("Z_3", "Z_3[x]/(x²)"), ("Z_3", "Z_4"),
+                  ("Z_3", "Z_2[x]/(x²)"), ("Z_2", "Z_2", "Z_2"),
+                  ("Z_2", "Z_2", "Z_3")]:
+        entries.append(_p([spec[n] for n in names], tm))
 
     merged: dict[str, CatalogEntry] = {}
     for e in entries:

@@ -22,7 +22,6 @@ from itertools import combinations
 from .catalog import catalog_entries, catalog_pairs, catalog_ring
 from .errors import CliqueHypothesisViolated, ZdgenusError
 from .genus import (
-    EXHAUSTIVE_EDGE_CAP,
     GenusBounds,
     closed_form_bound,
     euler_lower_bound,
@@ -890,7 +889,7 @@ def _verify_genus_one_residue2_lift(budget: int) -> list[ClassificationReport]:
         if lr.residue != 2 or 2 * lr.table.order > MAX_ORDER:
             continue
         gq = lr.inst.graph
-        if gq.n == 0 or gq.m > EXHAUSTIVE_EDGE_CAP or is_planar(gq):
+        if gq.n == 0:
             continue
         bq = exact_genus(gq, budget)
         if (bq.lower, bq.upper) != (1, 1):

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import InvalidSpec, MTooLarge, TooLarge, WholeRingIdeal
-from .rings import RingTable, zero_divisors
+from .rings import RingTable
 from .ideals import IdealSet
 
 
@@ -135,15 +135,10 @@ def remove_vertices(g: SimpleGraph, vertices) -> SimpleGraph:
 
 
 def zero_divisor_graph(t: RingTable) -> SimpleGraph:
-    """Vertices are the nonzero zero-divisors; edges join annihilating pairs."""
-    verts = zero_divisors(t)
-    pos = {x: i for i, x in enumerate(verts)}
-    edges = [
-        (pos[x], pos[y])
-        for x, y in combinations(verts, 2)
-        if t.mul[x][y] == t.zero
-    ]
-    return make_graph(len(verts), edges, tuple(t.labels[x] for x in verts))
+    """Vertices are the nonzero zero-divisors; edges join annihilating pairs.
+    This is the graph at the zero ideal, whose coset keys are the elements
+    themselves, so vertices come in index order."""
+    return ideal_zero_divisor_graph(t, IdealSet(t, 1 << t.zero))
 
 
 def ideal_zero_divisor_graph(t: RingTable, i: IdealSet) -> SimpleGraph:

@@ -21,6 +21,7 @@ Python ints and every check is complete.
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import reprlib
 from dataclasses import dataclass, field
@@ -539,13 +540,7 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
             raise NonConfluentPresentation(
                 f"{spec.name}: relation {rule.lhs} = {rule.rhs} fails in "
                 "the built table; its rewrite rules disagree")
-    have = {t.zero, t.one, *images}
-    while True:
-        grown = {op[a][b] for op in (t.add, t.mul) for a in have for b in have}
-        if grown <= have:
-            break
-        have |= grown
-    if len(have) != t.order:
+    if len(_span(t, images)) != t.order:
         raise NonConfluentPresentation(
             f"{spec.name}: the variables do not generate the built table")
 
@@ -804,13 +799,35 @@ def _fingerprint(t: RingTable, unit_set: set[int]):
     return fps
 
 
+def _span(t: RingTable, seeds) -> dict[int, tuple | None]:
+    """The subring generated by 0, 1 and the seeds, each element once, in
+    the order reached, with how it was reached: None for 0, 1 and the
+    seeds, otherwise (op, x, y) with op t.add or t.mul and x, y earlier."""
+    span = dict.fromkeys((t.zero, t.one, *seeds))
+    have = list(span)
+    for i, x in enumerate(have):  # have grows as the span is reached
+        for y in have[:i + 1]:
+            for op in (t.add, t.mul):
+                z = op[x][y]
+                if z not in span:
+                    span[z] = (op, x, y)
+                    have.append(z)
+    return span
+
+
 def iso_check(a: RingTable, b: RingTable) -> list[int] | None:
     """Search for a ring isomorphism a -> b.
 
     Returns the witness index map (image of each element of ``a``) or None.
-    Pruning: element fingerprints (additive order, nilpotency index, unit
-    flag, annihilator size, idempotency) must match; partial maps are closed
-    under both operations before branching.
+    A ring map is fixed by the images of ring generators, so generators of
+    ``a`` are picked greedily by index until their span covers ``a``; each
+    tuple of images with matching element fingerprints (additive order,
+    nilpotency index, unit flag, annihilator size, idempotency) is carried
+    to every element along the span's recipes, and the first map that is a
+    bijection respecting + and · is returned.  An isomorphism keeps every
+    fingerprint, so its generator images are among the tuples tried, and
+    the recipes rebuild it; a tuple is dropped once a rebuilt element's
+    image has another fingerprint.
     """
     if a.order != b.order:
         return None
@@ -818,73 +835,30 @@ def iso_check(a: RingTable, b: RingTable) -> list[int] | None:
     fa, fb = _fingerprint(a, ua), _fingerprint(b, ub)
     if sorted(fa) != sorted(fb):
         return None
-
-    n = a.order
-    fwd = [-1] * n
-    used = [False] * n
-    trail: list[int] = []
-
-    def assign(x: int, y: int) -> bool:
-        """Map x -> y and propagate closure; record trail for undo."""
-        if fwd[x] == y:
-            return True
-        if fwd[x] != -1 or used[y] or fa[x] != fb[y]:
-            return False
-        fwd[x] = y
-        used[y] = True
-        trail.append(x)
-        work = [x]
-        while work:
-            u = work.pop()
-            v = fwd[u]
-            for w in range(n):
-                if fwd[w] == -1:
-                    continue
-                for op_a, op_b in ((a.add, b.add), (a.mul, b.mul)):
-                    s = op_a[u][w]
-                    tgt = op_b[v][fwd[w]]
-                    if fwd[s] == tgt:
-                        continue
-                    if fwd[s] != -1 or used[tgt] or fa[s] != fb[tgt]:
-                        return False
-                    fwd[s] = tgt
-                    used[tgt] = True
-                    trail.append(s)
-                    work.append(s)
-        return True
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            x = trail.pop()
-            used[fwd[x]] = False
-            fwd[x] = -1
-
-    def solve() -> bool:
-        best, cands = -1, None
-        for x in range(n):
-            if fwd[x] != -1:
-                continue
-            cx = [y for y in range(n) if not used[y] and fb[y] == fa[x]]
-            if cands is None or len(cx) < len(cands):
-                best, cands = x, cx
-                if len(cx) <= 1:
-                    break
-        if cands is None:
-            return True
-        for y in cands:
-            mark = len(trail)
-            if assign(best, y) and solve():
-                return True
-            undo(mark)
-        return False
-
-    mark = len(trail)
-    if not assign(a.zero, b.zero) or not assign(a.one, b.one):
-        undo(mark)
-        return None
-    if solve():
-        return list(fwd)
-    undo(mark)
+    gens: list[int] = []
+    span = _span(a, gens)
+    for x in range(a.order):
+        if x not in span:
+            gens.append(x)
+            span = _span(a, gens)
+    steps = [(x, b.add if r[0] is a.add else b.mul, r[1], r[2])
+             for x, r in span.items() if r]
+    choices = [[y for y in range(b.order) if fb[y] == fa[g]] for g in gens]
+    for images in itertools.product(*choices):
+        f = [0] * a.order
+        f[a.zero], f[a.one] = b.zero, b.one
+        for g, y in zip(gens, images):
+            f[g] = y
+        for x, op, u, v in steps:
+            f[x] = op[f[u]][f[v]]
+            if fb[f[x]] != fa[x]:  # no isomorphism sends gens to images
+                break
+        else:
+            if len(set(f)) == a.order and all(
+                    [f[z] for z in op_a[x]] == [op_b[f[x]][y] for y in f]
+                    for x in range(a.order)
+                    for op_a, op_b in ((a.add, b.add), (a.mul, b.mul))):
+                return f
     return None
 
 

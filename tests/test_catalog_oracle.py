@@ -13,6 +13,7 @@ Three layers of pinning:
   arithmetic mod n.
 """
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -21,7 +22,7 @@ import sympy
 
 from zdgenus import catalog_ring, iso_check
 from zdgenus.catalog import catalog_entries
-from zdgenus.rings import validate_table
+from zdgenus.rings import spec_to_json, validate_table
 
 EXPECTED_ENTRY_COUNT = 100
 
@@ -33,6 +34,12 @@ EXPECTED_TAG_COUNTS = {
     "two-max": 26,
     "product": 26,
 }
+
+# SHA-256 over the entries in order, of each spec's JSON, the verbatim
+# generators and the sorted tags; the table digest in test_presentations
+# pins the built tables, this one the presentations that name them
+CATALOG_SPEC_DIGEST = (
+    "92a4c776bdafdcda071da6b1d264bbe72d378b36cc6ec16412ec718f24f3474b")
 
 EXPECTED_ORDER_HISTOGRAM = {
     2: 1, 3: 1, 4: 4, 5: 1, 6: 2, 7: 1, 8: 10, 9: 4, 10: 2, 11: 1,
@@ -131,6 +138,14 @@ def test_census():
     histogram = Counter(e.spec.expected_order for e in entries)
     assert dict(histogram) == EXPECTED_ORDER_HISTOGRAM
     assert all(e.tags for e in entries)
+
+
+def test_catalog_specs_unchanged():
+    h = hashlib.sha256()
+    for e in catalog_entries():
+        for part in (spec_to_json(e.spec), e.generators, sorted(e.tags)):
+            h.update(repr(part).encode())
+    assert h.hexdigest() == CATALOG_SPEC_DIGEST
 
 
 def test_orders_match_tables():

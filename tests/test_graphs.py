@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,10 @@ from zdgenus import (
     make_graph,
     zero_divisor_graph,
 )
+from zdgenus.catalog import catalog_entries, catalog_pairs
 from zdgenus.errors import InvalidSpec
+from zdgenus.ideals import quotient
+from zdgenus.rings import MAX_ORDER, zero_divisors
 
 INF = float("inf")
 
@@ -82,6 +86,27 @@ def test_ideal_graph_zero_ideal_matches_gamma(z8):
     g0 = ideal_zero_divisor_graph(z8, IdealSet(z8, 1 << z8.zero))
     g = zero_divisor_graph(z8)
     assert g0.labels == g.labels and sorted(g0.edges()) == sorted(g.edges())
+
+
+def _ref_zero_divisor_graph(t):
+    """zero_divisor_graph as built before it became the graph at the zero
+    ideal, kept verbatim as its oracle."""
+    verts = zero_divisors(t)
+    pos = {x: i for i, x in enumerate(verts)}
+    edges = [
+        (pos[x], pos[y])
+        for x, y in combinations(verts, 2)
+        if t.mul[x][y] == t.zero
+    ]
+    return make_graph(len(verts), edges, tuple(t.labels[x] for x in verts))
+
+
+def test_zero_divisor_graph_matches_direct_construction():
+    rings = [catalog_ring(e.name) for e in catalog_entries()]
+    rings += [quotient(t, i).table for _, t, i in catalog_pairs(MAX_ORDER)]
+    for t in rings:
+        g, ref = zero_divisor_graph(t), _ref_zero_divisor_graph(t)
+        assert (g.n, g.adj, g.labels) == (ref.n, ref.adj, ref.labels), t.name
 
 
 def test_ideal_graph_vertices_grouped_by_coset(z12):

@@ -22,10 +22,14 @@ from zdgenus import (
     units,
     zmod,
 )
+from zdgenus.errors import NonConfluentPresentation
 from zdgenus.rings import (
     MAX_ORDER,
     RingTable,
     ValidationReport,
+    _check_presentation,
+    _fingerprint,
+    _span,
     validate_table,
     zero_divisors,
 )
@@ -367,3 +371,206 @@ def test_validate_table_names_each_law(law, table):
     names = _names(validate_table(t))
     assert law in names
     assert names <= _names(_ref_validate(t))
+
+
+# === Oracle for iso_check ===================================================
+#
+# The reference below is the propagate-and-undo search iso_check used
+# before it extended generator images along span recipes, kept verbatim,
+# so the two are tested against each other on the same inputs.
+
+
+def _ref_iso_check(a: RingTable, b: RingTable) -> list[int] | None:
+    """Search for a ring isomorphism a -> b.
+
+    Returns the witness index map (image of each element of ``a``) or None.
+    Pruning: element fingerprints (additive order, nilpotency index, unit
+    flag, annihilator size, idempotency) must match; partial maps are closed
+    under both operations before branching.
+    """
+    if a.order != b.order:
+        return None
+    ua, ub = set(units(a)), set(units(b))
+    fa, fb = _fingerprint(a, ua), _fingerprint(b, ub)
+    if sorted(fa) != sorted(fb):
+        return None
+
+    n = a.order
+    fwd = [-1] * n
+    used = [False] * n
+    trail: list[int] = []
+
+    def assign(x: int, y: int) -> bool:
+        """Map x -> y and propagate closure; record trail for undo."""
+        if fwd[x] == y:
+            return True
+        if fwd[x] != -1 or used[y] or fa[x] != fb[y]:
+            return False
+        fwd[x] = y
+        used[y] = True
+        trail.append(x)
+        work = [x]
+        while work:
+            u = work.pop()
+            v = fwd[u]
+            for w in range(n):
+                if fwd[w] == -1:
+                    continue
+                for op_a, op_b in ((a.add, b.add), (a.mul, b.mul)):
+                    s = op_a[u][w]
+                    tgt = op_b[v][fwd[w]]
+                    if fwd[s] == tgt:
+                        continue
+                    if fwd[s] != -1 or used[tgt] or fa[s] != fb[tgt]:
+                        return False
+                    fwd[s] = tgt
+                    used[tgt] = True
+                    trail.append(s)
+                    work.append(s)
+        return True
+
+    def undo(mark: int):
+        while len(trail) > mark:
+            x = trail.pop()
+            used[fwd[x]] = False
+            fwd[x] = -1
+
+    def solve() -> bool:
+        best, cands = -1, None
+        for x in range(n):
+            if fwd[x] != -1:
+                continue
+            cx = [y for y in range(n) if not used[y] and fb[y] == fa[x]]
+            if cands is None or len(cx) < len(cands):
+                best, cands = x, cx
+                if len(cx) <= 1:
+                    break
+        if cands is None:
+            return True
+        for y in cands:
+            mark = len(trail)
+            if assign(best, y) and solve():
+                return True
+            undo(mark)
+        return False
+
+    mark = len(trail)
+    if not assign(a.zero, b.zero) or not assign(a.one, b.one):
+        undo(mark)
+        return None
+    if solve():
+        return list(fwd)
+    undo(mark)
+    return None
+
+
+def _ref_closure(t, images):
+    """The fixpoint closure _check_presentation used before _span."""
+    have = {t.zero, t.one, *images}
+    while True:
+        grown = {op[a][b] for op in (t.add, t.mul) for a in have for b in have}
+        if grown <= have:
+            break
+        have |= grown
+    return have
+
+
+def _assert_ring_isomorphism(a, b, w):
+    assert sorted(w) == list(range(a.order))
+    assert w[a.zero] == b.zero and w[a.one] == b.one
+    for x in range(a.order):
+        for y in range(a.order):
+            assert w[a.add[x][y]] == b.add[w[x]][w[y]]
+            assert w[a.mul[x][y]] == b.mul[w[x]][w[y]]
+
+
+def _assert_iso_agrees(a, b):
+    w = iso_check(a, b)
+    assert (w is None) == (_ref_iso_check(a, b) is None), (a.name, b.name)
+    if w is not None:
+        _assert_ring_isomorphism(a, b, w)
+
+
+def _relabel(t, perm):
+    """t with element x renamed perm[x]."""
+    inv = sorted(range(t.order), key=perm.__getitem__)
+    return RingTable(
+        t.order,
+        tuple(tuple(perm[t.add[x][y]] for y in inv) for x in inv),
+        tuple(tuple(perm[t.mul[x][y]] for y in inv) for x in inv),
+        perm[t.zero], perm[t.one], tuple(t.labels[x] for x in inv),
+        name=f"{t.name} relabelled")
+
+
+_CATALOG = [e.name for e in catalog_entries()]
+_PRODUCT_PAIRS = [
+    (a, b) for i, a in enumerate(_CATALOG) for b in _CATALOG[i:]
+    if catalog_ring(a).order * catalog_ring(b).order <= MAX_ORDER]
+
+
+def _product(pair):
+    return product_tables(*map(catalog_ring, pair))
+
+
+def test_iso_check_matches_reference_on_same_order_catalog_pairs():
+    for a, b in itertools.product(_CATALOG, repeat=2):
+        if catalog_ring(a).order == catalog_ring(b).order:
+            _assert_iso_agrees(catalog_ring(a), catalog_ring(b))
+
+
+def test_iso_check_matches_reference_on_products_against_catalog():
+    for pair in _PRODUCT_PAIRS:
+        t = _product(pair)
+        for name in _CATALOG:
+            if catalog_ring(name).order == t.order:
+                _assert_iso_agrees(t, catalog_ring(name))
+
+
+@settings(max_examples=100)
+@given(st.one_of(st.sampled_from(_CATALOG).map(catalog_ring),
+                 st.sampled_from(_PRODUCT_PAIRS).map(_product)), st.data())
+def test_iso_check_matches_reference_on_relabellings(t, data):
+    perm = data.draw(st.permutations(range(t.order)))
+    u = _relabel(t, perm)
+    assert validate_table(u).ok
+    _assert_iso_agrees(t, u)
+    _assert_iso_agrees(u, t)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_CATALOG).map(catalog_ring), st.data())
+def test_span_matches_fixpoint_closure(t, data):
+    seeds = data.draw(st.lists(st.integers(0, t.order - 1), max_size=3))
+    span = _span(t, seeds)
+    assert set(span) == _ref_closure(t, seeds)
+    position = {x: k for k, x in enumerate(span)}
+    for x, recipe in span.items():
+        if recipe is None:
+            assert x in (t.zero, t.one, *seeds)
+            continue
+        op, u, v = recipe
+        assert op is t.add or op is t.mul
+        assert op[u][v] == x
+        assert position[u] < position[x] and position[v] < position[x]
+
+
+def test_presentation_refused_when_variables_do_not_generate():
+    z2 = build_ring(zmod(2))
+    t = product_tables(z2, z2)
+    spec = quotient_algebra(2, ("x",), [("x^2", "x")], "Z_2[x]/(x²-x)")
+    with pytest.raises(NonConfluentPresentation,
+                       match="the variables do not generate"):
+        _check_presentation(t, spec, [t.index_of("(1, 1)")])
+    _check_presentation(t, spec, [t.index_of("(1, 0)")])
+
+
+def test_iso_check_refuses_a_map_respecting_only_multiplication():
+    # F_8's multiplication with its addition conjugated by the transposition
+    # of 3 and 4: no ring, but the identity respects ·
+    t = catalog_ring("F_8")
+    swap = [0, 1, 2, 4, 3, 5, 6, 7]
+    add = tuple(tuple(swap[t.add[swap[x]][swap[y]]] for y in range(8))
+                for x in range(8))
+    u = RingTable(8, add, t.mul, t.zero, t.one, t.labels)
+    assert not validate_table(u).ok
+    assert iso_check(t, u) is None and _ref_iso_check(t, u) is None
