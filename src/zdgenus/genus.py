@@ -11,21 +11,24 @@ one face splits the face; across two different faces it merges them and
 raises the genus by one.  Iterative deepening from a certified lower bound
 makes the first completed embedding optimal.
 
-Each genus level is tried by three arms, all charged to the one budget.
-First the plain search, capped at RESTART_NODES nodes; a level it exhausts
-within the cap is done.  Then seeded restarts: run i shuffles the corner
-pairs within their same-face and cross tiers, and the anchors of each
-vertex's first edge, with random.Random(i), and stops after 100 * luby(i)
-nodes (Luby, Sinclair & Zuckerman 1993), RESTART_NODES nodes in all; short
-randomised runs cut the heavy tail of a depth-first search (Gomes, Selman
-& Kautz 1998).  Last, the plain search to the end.  An embedding any arm
-finds is optimal, because the level it was found at is certified: the
-first level is a closed-form or attached-K4 lower bound and every later
-one follows an exhausted level.  Every found rotation is re-traced by
-face_trace.  A graph the plain search settles within RESTART_NODES nodes
-per level gets the same rotation at the same cost as without the
-restarts; K_{1,1,1,1,8}, which the plain search embeds after 0.85 M nodes,
-is settled by a restart in under 2 * RESTART_NODES.
+Each genus level is tried by one plain search, resumed slice by slice,
+alternated with seeded restarts, all charged to the one budget.  Slice i
+gives the plain search 100 * luby(i) more nodes (Luby, Sinclair &
+Zuckerman 1993); then restart i shuffles the corner pairs within their
+same-face and cross tiers, and the anchors of each vertex's first edge,
+with random.Random(i), and runs for as many nodes, until the restarts have
+spent RESTART_NODES nodes.  The plain search then runs on alone to the
+end.  Short randomised runs cut the heavy tail of a depth-first search
+(Gomes, Selman & Kautz 1998), and interleaving them with the plain search
+holds neither back behind the other.  A run that walks its whole tree
+settles the level as exhausted, which then costs at most twice the plain
+search's nodes.  An embedding any run finds is optimal, because the level
+it was found at is certified: the first level is a closed-form or
+attached-K4 lower bound and every later one follows an exhausted level.
+Every found rotation is re-traced by face_trace.  A graph the plain search
+settles within its first 100 nodes per level gets the same rotation at the
+same cost as without the restarts; K_{1,1,1,1,8}, which the plain search
+embeds after 0.85 M nodes, is settled by restart 63 in 38 k nodes.
 
 Planarity is decided here, with no graph library: an Euler edge count,
 then each biconnected block by the path-addition test of Demoucron,
@@ -522,6 +525,36 @@ class _OutOfBudget(Exception):
     pass
 
 
+def _build_steps(g: SimpleGraph):
+    """Steps (v, u, dart out of v, first edge of v), in vertex order; step s
+    owns darts 2s, from v to u, and 2s + 1.  They depend on g alone, so one
+    list serves every embedder at every level."""
+    first = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    order = [first]
+    placed = {first}
+    while len(order) < g.n:
+        nv = max(
+            (v for v in range(g.n) if v not in placed),
+            key=lambda v: (
+                (g.adj[v] & sum(1 << p for p in placed)).bit_count(),
+                g.degree(v),
+                -v,
+            ),
+        )
+        order.append(nv)
+        placed.add(nv)
+    pos = {v: i for i, v in enumerate(order)}
+    steps = []
+    for v in order[1:]:
+        backs = sorted(
+            (u for u in g.neighbors(v) if pos[u] < pos[v]),
+            key=lambda u: pos[u],
+        )
+        for j, u in enumerate(backs):
+            steps.append((v, u, 2 * len(steps), j == 0))
+    return steps
+
+
 class _Embedder:
     """Backtracking edge-insertion search for an embedding of target genus.
 
@@ -532,50 +565,32 @@ class _Embedder:
     the face of the corner taken at u.  Any later edge joins two corners:
     of one face, which it splits in two, or of two faces, which it merges,
     adding a handle.  Same-face pairs are tried before cross pairs, and
-    cross pairs only below the target genus."""
+    cross pairs only below the target genus.
 
-    def __init__(self, g: SimpleGraph, budget: list[int], rng=None):
+    The depth-first walk keeps its own stack, so run can stop when its
+    nodes are spent, and the next run resumes at the pair it stopped
+    before."""
+
+    def __init__(self, g: SimpleGraph, budget: list[int], steps, rng=None):
         self.g = g
         self.budget = budget
         self.rng = rng
-        self.steps = self._build_steps()
+        self.steps = steps
         # the target vertex of each dart
-        self.tgt = [w for v, u, _, _ in self.steps for w in (u, v)]
+        self.tgt = [w for v, u, _, _ in steps for w in (u, v)]
         self.nxt = [0] * len(self.tgt)
         self.face = [0] * len(self.tgt)
         self.darts_at: list[list[int]] = [[] for _ in range(g.n)]
         self.gcur = 0
         self.fresh = 0
         self.found: RotationSystem | None = None
-
-    def _build_steps(self):
-        """Steps (v, u, dart out of v, first edge of v), in vertex order;
-        step s owns darts 2s, from v to u, and 2s + 1."""
-        g = self.g
-        first = max(range(g.n), key=lambda v: (g.degree(v), -v))
-        order = [first]
-        placed = {first}
-        while len(order) < g.n:
-            nv = max(
-                (v for v in range(g.n) if v not in placed),
-                key=lambda v: (
-                    (g.adj[v] & sum(1 << p for p in placed)).bit_count(),
-                    g.degree(v),
-                    -v,
-                ),
-            )
-            order.append(nv)
-            placed.add(nv)
-        pos = {v: i for i, v in enumerate(order)}
-        steps = []
-        for v in order[1:]:
-            backs = sorted(
-                (u for u in g.neighbors(v) if pos[u] < pos[v]),
-                key=lambda u: pos[u],
-            )
-            for j, u in enumerate(backs):
-                steps.append((v, u, 2 * len(steps), j == 0))
-        return steps
+        # the walk's stack, by step: its pairs, the next one to try, the
+        # undo frame of the placed one, and the cut; depth is the top step
+        self.pairs_at: list[list] = [[]] * len(steps)
+        self.next_at = [0] * len(steps)
+        self.undo_at: list[tuple] = [()] * len(steps)
+        self.cut_at: list[int | None] = [None] * len(steps)
+        self.depth = -1
 
     def _retrace(self, start: int, fid: int):
         face, nxt = self.face, self.nxt
@@ -643,32 +658,49 @@ class _Embedder:
             order.append(tuple(seq))
         return RotationSystem(tuple(order))
 
-    def search(self, target: int, cap=inf) -> bool | None:
-        """True with the embedding in self.found, False when g has none of
-        genus target, None when cap nodes settle neither; a capped run
-        leaves the embedder unusable.  The nodes are charged to the budget
-        cell at the end, and running it out raises _OutOfBudget."""
+    def start(self, target: int):
+        """Set the walk at its root, for an embedding of genus target; the
+        embedder must be new or have run its last walk to the end."""
         self.target = target
-        budget = self.budget[0]
-        self.left = start = min(cap, budget)
-        try:
-            return self._rec(0)
-        except _OutOfBudget:
-            if cap >= budget:
-                raise
-            self.left = 0  # the refused node is not charged
-            return None
-        finally:
-            self.budget[0] -= start - self.left
+        self.found = None
+        self.depth = -1
+        moves = self._moves(0)
+        if isinstance(moves, list):
+            self.depth = 0
+            self.pairs_at[0], self.next_at[0] = moves, 0
 
-    def _rec(self, si: int) -> bool:
+    def search(self, target: int, cap=inf) -> bool | None:
+        """start(target), then run(cap)."""
+        self.start(target)
+        return self.run(cap)
+
+    def run(self, nodes=inf) -> bool | None:
+        """Walk on for at most nodes nodes: True with the embedding in
+        self.found, False when g has none of the target genus, None when
+        the nodes settle neither; a later run resumes where this one
+        stopped.  The nodes are charged to the budget cell at the end, and
+        running it out raises _OutOfBudget."""
+        budget = self.budget[0]
+        start = min(nodes, budget)
+        done, left = self._walk(start)
+        if done is None and nodes < budget:
+            left = 0  # the refused node is not charged
+        self.budget[0] -= start - left
+        if done is None and nodes >= budget:
+            raise _OutOfBudget
+        return done
+
+    def _moves(self, si: int) -> list | bool:
+        """The corner pairs to try at step si, same-face pairs first; True
+        with the embedding captured after the last step, False when v's
+        remaining edges cannot all be placed."""
         if si == len(self.steps):
             self.found = self._capture()
             return True
-        step = self.steps[si]
-        v, u, _, first = step
+        v, u, _, first = self.steps[si]
         if first:
-            tiers = ([(None, c_u) for c_u in self.darts_at[u] or [None]],)
+            pairs = [(None, c_u) for c_u in self.darts_at[u] or [None]]
+            cross = ()
         else:
             # the face of the corner after dart d is face[nxt[d]]
             face, nxt = self.face, self.nxt
@@ -680,33 +712,70 @@ class _Embedder:
                     if fv.isdisjoint(fu):
                         return False
                     j += 1
-            tiers = ([], [])
+            pairs, cross = [], []
             allow_cross = self.gcur < self.target
             corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
             for c_v in self.darts_at[v]:
                 f_v = face[nxt[c_v]]
                 for c_u, f_u in corners_u:
                     if f_v == f_u:
-                        tiers[0].append((c_v, c_u))
+                        pairs.append((c_v, c_u))
                     elif allow_cross:
-                        tiers[1].append((c_v, c_u))
-        for pairs in tiers:
-            if self.rng is not None:
-                self.rng.shuffle(pairs)
-            for c_v, c_u in pairs:
-                self.left -= 1
-                if self.left < 0:
-                    raise _OutOfBudget
-                frame = self._place(step, c_v, c_u)
-                if self._rec(si + 1):
-                    return True
-                self._undo(step, frame)
-        return False
+                        cross.append((c_v, c_u))
+        if self.rng is not None:
+            # a seeded run shuffles each tier as the walk enters it: the
+            # cross pairs at the cut, once the same-face pairs are spent
+            self.rng.shuffle(pairs)
+            # a shorter shuffle draws nothing
+            self.cut_at[si] = len(pairs) if len(cross) > 1 else None
+        if cross:
+            pairs += cross
+        return pairs
+
+    def _walk(self, left: int) -> tuple[bool | None, int]:
+        """The depth-first loop of run, with left nodes to spend: (outcome,
+        nodes left), -1 left when a node was refused."""
+        steps, rng = self.steps, self.rng
+        pairs_at, next_at = self.pairs_at, self.next_at
+        undo_at, cut_at = self.undo_at, self.cut_at
+        place, undo, moves_at = self._place, self._undo, self._moves
+        si = self.depth
+        back = False  # whether step si has a placed pair to take back
+        while si >= 0:
+            pairs = pairs_at[si]
+            k = next_at[si]
+            if back:
+                # the placed pair's subtree holds no embedding
+                undo(steps[si], undo_at[si])
+            if k == cut_at[si]:
+                tail = pairs[k:]
+                rng.shuffle(tail)
+                pairs[k:] = tail
+                cut_at[si] = None
+            elif k == len(pairs):
+                si -= 1
+                back = True
+                continue
+            left -= 1
+            if left < 0:
+                self.depth = si
+                return None, left
+            c_v, c_u = pairs[k]
+            next_at[si] = k + 1
+            undo_at[si] = place(steps[si], c_v, c_u)
+            moves = moves_at(si + 1)
+            if moves is True:
+                return True, left
+            back = moves is False
+            if not back:
+                si += 1
+                pairs_at[si], next_at[si] = moves, 0
+        self.depth = si
+        return self.found is not None, left
 
 
 EXHAUSTIVE_EDGE_CAP = 40
-# nodes of the plain search at a genus level before the seeded restarts,
-# and of the restarts in all
+# nodes of the seeded restarts at one genus level, in all
 RESTART_NODES = 5 * 10**4
 
 
@@ -808,9 +877,10 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
     if g.m > EXHAUSTIVE_EDGE_CAP:
         return GenusBounds(target, None,
                            tuple(prov + ["too many edges for search"]), None)
+    steps = _build_steps(g)
     while True:
         try:
-            rot = _search_level(g, spent, target)
+            rot = _search_level(g, spent, target, steps)
         except _OutOfBudget:
             return GenusBounds(target, None,
                                tuple(prov + ["budget exhausted"]), None)
@@ -855,29 +925,35 @@ def _luby(i: int) -> int:
     return _luby(i - (1 << (k - 1)) + 1)
 
 
-def _search_level(g: SimpleGraph, spent: list[int], target: int
+def _search_level(g: SimpleGraph, spent: list[int], target: int, steps
                   ) -> RotationSystem | None:
     """An embedding of g at genus target, or None when there is none.
 
-    Three arms, all charged to spent: the plain search capped at
-    RESTART_NODES; then seeded restarts, run i shuffling its corner pairs
-    and anchors with random.Random(i) and capped at 100 * luby(i), at most
-    RESTART_NODES nodes in all; then the plain search to the end.  A
-    shuffled run walks the same tree in another order, so the arms differ
-    only in which embedding they meet first."""
-    emb = _Embedder(g, spent)
-    done = emb.search(target, RESTART_NODES)
+    One plain search, resumed slice by slice, alternates with seeded
+    restarts, all charged to spent.  Slice i gives the plain search
+    100 * luby(i) more nodes; then restart i shuffles its corner pairs and
+    anchors with random.Random(i) and runs for as many, until the restarts
+    have spent RESTART_NODES nodes in all.  After that the plain search
+    runs on alone to the end.  A shuffled run walks the same tree in
+    another order, so the runs differ only in which embedding they meet
+    first, and any run that walks its whole tree settles the level as
+    exhausted."""
+    plain = _Embedder(g, spent, steps)
+    plain.start(target)
     i, left = 0, RESTART_NODES
-    while done is None and left:
+    while left:
         i += 1
-        cap = min(100 * _luby(i), left)
+        cap = 100 * _luby(i)
+        done = plain.run(cap)
+        if done is not None:
+            return plain.found if done else None
+        cap = min(cap, left)
         left -= cap
-        emb = _Embedder(g, spent, random.Random(i))
+        emb = _Embedder(g, spent, steps, random.Random(i))
         done = emb.search(target, cap)
-    if done is None:
-        emb = _Embedder(g, spent)
-        done = emb.search(target)
-    return emb.found if done else None
+        if done is not None:
+            return emb.found if done else None
+    return plain.found if plain.run() else None
 
 
 # === Certificate serialization ==============================================

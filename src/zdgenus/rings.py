@@ -24,6 +24,8 @@ import ast
 import itertools
 import json
 import reprlib
+import weakref
+from array import array
 from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from operator import itemgetter
@@ -799,6 +801,25 @@ def _fingerprint(t: RingTable, unit_set: set[int]):
     return fps
 
 
+# each table's fingerprints, computed once: catalog tables meet iso_check
+# again and again.  RingTable compares by identity, so the keys do too.
+_FINGERPRINTS: weakref.WeakKeyDictionary[RingTable, array] = (
+    weakref.WeakKeyDictionary())
+
+
+def _fingerprints(t: RingTable) -> array:
+    """_fingerprint of t with its units, memoized per table.  Each element's
+    fingerprint is packed into one machine int, its fields being at most
+    MAX_ORDER, so the memo stays small while `verify all` keeps some 400
+    tables alive."""
+    if t not in _FINGERPRINTS:
+        b = MAX_ORDER + 1
+        _FINGERPRINTS[t] = array("l", [
+            (((order * b + nil) * 2 + unit) * b + ann) * 2 + idem
+            for order, nil, unit, ann, idem in _fingerprint(t, set(units(t)))])
+    return _FINGERPRINTS[t]
+
+
 def _span(t: RingTable, seeds) -> dict[int, tuple | None]:
     """The subring generated by 0, 1 and the seeds, each element once, in
     the order reached, with how it was reached: None for 0, 1 and the
@@ -831,8 +852,7 @@ def iso_check(a: RingTable, b: RingTable) -> list[int] | None:
     """
     if a.order != b.order:
         return None
-    ua, ub = set(units(a)), set(units(b))
-    fa, fb = _fingerprint(a, ua), _fingerprint(b, ub)
+    fa, fb = _fingerprints(a), _fingerprints(b)
     if sorted(fa) != sorted(fb):
         return None
     gens: list[int] = []

@@ -22,6 +22,7 @@ from zdgenus import (
     units,
     zmod,
 )
+from zdgenus import rings
 from zdgenus.errors import NonConfluentPresentation
 from zdgenus.rings import (
     MAX_ORDER,
@@ -516,6 +517,26 @@ def test_iso_check_matches_reference_on_same_order_catalog_pairs():
     for a, b in itertools.product(_CATALOG, repeat=2):
         if catalog_ring(a).order == catalog_ring(b).order:
             _assert_iso_agrees(catalog_ring(a), catalog_ring(b))
+
+
+def test_iso_check_fingerprints_each_table_once(monkeypatch):
+    # fresh tables, so that no earlier call has fingerprinted them
+    tables = [build_ring(e.spec) for e in catalog_entries()]
+    counts = {}
+
+    def counting(t, unit_set):
+        counts[id(t)] = counts.get(id(t), 0) + 1
+        return _fingerprint(t, unit_set)
+
+    monkeypatch.setattr(rings, "_fingerprint", counting)
+    pairs = 0
+    for a, b in itertools.product(tables, repeat=2):
+        if a.order == b.order:
+            iso_check(a, b)
+            pairs += 1
+    assert pairs == 904
+    assert len(counts) == len(tables)
+    assert set(counts.values()) == {1}
 
 
 def test_iso_check_matches_reference_on_products_against_catalog():

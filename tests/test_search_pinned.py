@@ -2,9 +2,10 @@
 bytes.
 
 A change to the edge-insertion search that keeps its move order, its rng
-draws and its arms must leave every figure here as it is.  The node counts
-are those of `_search_genus` from the certified level, bypassing the class
-cache; the digest is the SHA-256 of the found rotation as JSON.
+draws and its schedule of plain slices and restarts must leave every figure
+here as it is.  The node counts are those of `_search_genus` from the
+certified level, bypassing the class cache; the digest is the SHA-256 of
+the found rotation as JSON.
 """
 
 import hashlib
@@ -29,11 +30,11 @@ PINNED = {
     "K_5": (complete_graph(5), 1, 10, "10ffd744e451b992"),
     "K_{3,3}": (complete_multipartite(3, 3), 1, 9, "0f58af685014314e"),
     "K_7": (complete_graph(7), 1, 78, "6f5e03ab37e375a8"),
-    "K_8": (complete_graph(8), 2, 304, "d8fbf86c16a94fb0"),
+    "K_8": (complete_graph(8), 2, 504, "d8fbf86c16a94fb0"),
     "K_{4,5}": (complete_multipartite(4, 5), 2, 20, "1ee19343d8548f32"),
     "Petersen": (PETERSEN, 1, 15, "04b57d36b54f12eb"),
-    "EXHAUSTS_GENUS_1": (EXHAUSTS_GENUS_1, 2, 16171, "006c3dfd524bba46"),
-    "K_{1,1,1,1,8}": (complete_multipartite(1, 1, 1, 1, 8), 3, 69134,
+    "EXHAUSTS_GENUS_1": (EXHAUSTS_GENUS_1, 2, 32177, "d97ba92c0dab2b8e"),
+    "K_{1,1,1,1,8}": (complete_multipartite(1, 1, 1, 1, 8), 3, 38334,
                       "c2ee0f314bd4480c"),
 }
 Z32_GEN8_CERT_SHA256 = (
