@@ -1,18 +1,18 @@
-"""Finite commutative rings, ideal-based zero-divisor graphs, and genus."""
+"""Finite commutative rings, ideal-based zero-divisor graphs, and genus.
+
+errors, rings, ideals, catalog and graphs load with the package.  genus
+(bounds and the rotation-system search) and classify (the classification
+facts) are registered in sys.modules, and as attributes here, as lazy
+modules: each is compiled and run on its first attribute access, so a
+caller that only builds rings, ideals and graphs never pays for them.
+Their public names are still served from the package, as in
+`from zdgenus import exact_genus`.
+"""
+
+import importlib.util
+import sys
 
 from .catalog import catalog, catalog_entries, catalog_ring, find_catalog
-from .classify import (
-    ClassificationReport,
-    TheoremId,
-    attached_k4_graph,
-    genus_ge2_predicate,
-    genus_one_clique3_predicate,
-    genus_one_clique_le2_predicate,
-    redmond_planar_predicate,
-    synthesize,
-    verify,
-    verify_all,
-)
 from .errors import (
     CliqueHypothesisViolated,
     HypothesisNotMet,
@@ -21,22 +21,6 @@ from .errors import (
     NotRadical,
     WholeRingIdeal,
     ZdgenusError,
-)
-from .genus import (
-    EmbeddingCertificate,
-    GenusBounds,
-    certificate_from_json,
-    certificate_to_json,
-    closed_form_bound,
-    euler_lower_bound,
-    exact_genus,
-    face_trace,
-    genus_biclique,
-    genus_complete,
-    is_planar,
-    k4_attachment_bound,
-    random_rotation,
-    subgraph_lower_bound,
 )
 from .graphs import (
     SimpleGraph,
@@ -90,3 +74,60 @@ from .rings import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy_submodule(name: str):
+    """Register zdgenus.<name> without running it; it runs on its first
+    attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+genus = _lazy_submodule("genus")
+classify = _lazy_submodule("classify")
+
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "EmbeddingCertificate",
+        "GenusBounds",
+        "certificate_from_json",
+        "certificate_to_json",
+        "closed_form_bound",
+        "euler_lower_bound",
+        "exact_genus",
+        "face_trace",
+        "genus_biclique",
+        "genus_complete",
+        "is_planar",
+        "k4_attachment_bound",
+        "random_rotation",
+        "subgraph_lower_bound",
+    ), "genus"),
+    **dict.fromkeys((
+        "ClassificationReport",
+        "TheoremId",
+        "attached_k4_graph",
+        "genus_ge2_predicate",
+        "genus_one_clique3_predicate",
+        "genus_one_clique_le2_predicate",
+        "redmond_planar_predicate",
+        "synthesize",
+        "verify",
+        "verify_all",
+    ), "classify"),
+}
+
+
+def __getattr__(name: str):
+    """Serve a public name of genus or classify, loading that module."""
+    if name in _LAZY_NAMES:
+        return getattr(globals()[_LAZY_NAMES[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})

@@ -7,6 +7,12 @@ atlas a last line with the genus class cache's hits and misses.  --budget
 bounds the genus search and exists only on genus, verify and atlas.  Exit
 codes: 0 success, 1 verification failure, 2 usage or input error, 3
 inconclusive within budget.
+
+Importing this module loads rings, ideals, catalog and graphs.  genus and
+classify are lazy modules of the package (see zdgenus/__init__.py), looked
+up only inside the commands that use them: ring, ideals and graph load
+neither, genus and atlas load genus, and verify loads classify, which
+loads genus.
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ import json
 import re
 import sys
 import time
+from math import inf
 from pathlib import Path
 
+from . import classify, genus
 from .catalog import catalog_pairs, catalog_ring, find_catalog
-from .classify import INF, TheoremId, verify
 from .errors import InvalidSpec, ZdgenusError
-from .genus import GENUS_CACHE_COUNTS, certificate_to_json, exact_genus
 from .graphs import (
     export_dot,
     export_json,
@@ -141,7 +147,7 @@ def resolve_ideal(table: RingTable, selector: str) -> IdealSet:
 
 
 def _fmt(value) -> str:
-    return "inf" if value == INF else str(value)
+    return "inf" if value == inf else str(value)
 
 
 def _emit(payload: str, output: str | None, note: str = "") -> None:
@@ -226,7 +232,7 @@ def cmd_graph(args) -> int:
         payload = json.dumps({
             "ring": table.name,
             "ideal": ideal.describe(),
-            "invariants": {k: (None if v == INF else v)
+            "invariants": {k: (None if v == inf else v)
                            for k, v in summary.items()},
             "graph": json.loads(export_json(g)),
         }, ensure_ascii=False, indent=2) + "\n"
@@ -243,7 +249,7 @@ def cmd_genus(args) -> int:
     table = resolve_ring(args.ring)
     ideal = resolve_ideal(table, args.ideal)
     g = ideal_zero_divisor_graph(table, ideal)
-    bounds = exact_genus(g, args.budget)
+    bounds = genus.exact_genus(g, args.budget)
     record = {
         "ring": table.name,
         "ideal": ideal.describe(),
@@ -267,27 +273,28 @@ def cmd_genus(args) -> int:
         print("provenance: " + "; ".join(bounds.provenance))
     if args.output and bounds.certificate is not None:
         Path(args.output).write_text(
-            certificate_to_json(g, bounds.certificate), encoding="utf-8")
+            genus.certificate_to_json(g, bounds.certificate), encoding="utf-8")
         print(f"wrote certificate {args.output}")
     return 0 if bounds.upper is not None else 3
 
 
-def _resolve_theorem(token: str) -> TheoremId:
+def _resolve_theorem(token: str) -> classify.TheoremId:
     want = token.replace("_", "").replace("-", "").casefold()
-    for tid in TheoremId:
+    for tid in classify.TheoremId:
         if tid.value.replace("_", "").casefold() == want:
             return tid
     raise InvalidSpec(f"unknown theorem {token!r}; one of "
-                      + ", ".join(t.value for t in TheoremId) + ", or 'all'")
+                      + ", ".join(t.value for t in classify.TheoremId)
+                      + ", or 'all'")
 
 
 def cmd_verify(args) -> int:
-    selected = (list(TheoremId) if args.theorem.casefold() == "all"
+    selected = (list(classify.TheoremId) if args.theorem.casefold() == "all"
                 else [_resolve_theorem(args.theorem)])
     results = {}
     for tid in selected:
         t0 = time.monotonic()
-        results[tid] = verify(tid, args.budget)
+        results[tid] = classify.verify(tid, args.budget)
         if args.timing:
             print(f"verify {tid.value}: {time.monotonic() - t0:.1f}s",
                   file=sys.stderr)
@@ -332,7 +339,7 @@ def atlas_rows(max_order: int, budget: int) -> list[dict]:
     rows = []
     for name, table, ideal in catalog_pairs(max_order):
         g = ideal_zero_divisor_graph(table, ideal)
-        bounds = exact_genus(g, budget)
+        bounds = genus.exact_genus(g, budget)
         inv = invariants(g)
         rows.append({
             "ring": name,
@@ -426,7 +433,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     t0 = time.monotonic()
-    cache_before = dict(GENUS_CACHE_COUNTS)
+    count_cache = args.timing and args.command in ("verify", "atlas")
+    if count_cache:
+        cache_before = dict(genus.GENUS_CACHE_COUNTS)
     try:
         code = args.func(args)
     except BrokenPipeError:
@@ -436,8 +445,8 @@ def main(argv=None) -> int:
         return 2
     if args.timing and args.command != "verify":  # verify times each fact
         print(f"{args.command}: {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    if args.timing and args.command in ("verify", "atlas"):
-        hits, misses = (GENUS_CACHE_COUNTS[k] - cache_before[k]
+    if count_cache:
+        hits, misses = (genus.GENUS_CACHE_COUNTS[k] - cache_before[k]
                         for k in ("hits", "misses"))
         print(f"genus cache: {hits} hits, {misses} misses", file=sys.stderr)
     return code

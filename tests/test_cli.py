@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zdgenus import cli
+from zdgenus import classify
 from zdgenus.classify import TheoremId
 from zdgenus.cli import main
 
@@ -275,7 +275,7 @@ def test_atlas_matches_golden(capsys):
 
 def test_verify_all_timing_prints_one_stderr_line_per_fact(capsys,
                                                           monkeypatch):
-    monkeypatch.setattr(cli, "verify", lambda tid, budget: [])
+    monkeypatch.setattr(classify, "verify", lambda tid, budget: [])
     code, plain_out, plain_err = run(capsys, "verify", "all")
     assert code == 0 and plain_err == ""
     code, out, err = run(capsys, "verify", "all", "--timing")

@@ -101,3 +101,101 @@ def test_cli_runs_with_numpy_blocked(argv):
     plain = run_python(f"import sys; {run}", *argv)
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == plain.stdout
+
+
+# A name that each lazy module's body defines: it is in the module's
+# namespace exactly when the body has run.
+LAZY_BODY_NAMES = {"zdgenus.genus": "exact_genus", "zdgenus.classify": "verify"}
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["ring", "Z_2×Z_4"], []),
+    (["ideals", "Z_2×Z_4"], []),
+    (["graph", "Z_2×Z_4", "#1"], []),
+    (["genus", "Z_2×Z_4", "#1"], ["zdgenus.genus"]),
+], ids=["ring", "ideals", "graph", "genus"])
+def test_one_shot_commands_run_only_the_layers_they_use(argv, ran):
+    """The namespace is read with object.__getattribute__, because any
+    attribute access on a lazy module, __dict__ included, runs it."""
+    code = (
+        "import sys\n"
+        "from zdgenus.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"body_names = {LAZY_BODY_NAMES!r}\n"
+        "print([name for name, body in body_names.items() if body in "
+        "object.__getattribute__(sys.modules[name], '__dict__')])\n"
+        "sys.exit(code)\n")
+    proc = run_python(code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(ran)
+
+
+def test_cli_import_registers_the_traced_modules():
+    """perfbench's Tracer looks these five modules up in sys.modules right
+    after `import zdgenus.cli`, and its certificate recheck calls
+    cli.ideal_zero_divisor_graph."""
+    proc = run_python(
+        "import sys, zdgenus.cli as cli\n"
+        "print([m for m in ('rings', 'ideals', 'graphs', 'genus', "
+        "'classify') if 'zdgenus.' + m not in sys.modules])\n"
+        "print([f for f in ('resolve_ring', 'resolve_ideal', "
+        "'ideal_zero_divisor_graph') if not callable(getattr(cli, f, None))])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+# Every name that zdgenus exported before genus and classify became lazy,
+# by defining module.
+PACKAGE_EXPORTS = {
+    "catalog": ("catalog", "catalog_entries", "catalog_ring", "find_catalog"),
+    "classify": (
+        "ClassificationReport", "TheoremId", "attached_k4_graph",
+        "genus_ge2_predicate", "genus_one_clique3_predicate",
+        "genus_one_clique_le2_predicate", "redmond_planar_predicate",
+        "synthesize", "verify", "verify_all"),
+    "errors": (
+        "CliqueHypothesisViolated", "HypothesisNotMet", "InvalidSpec",
+        "NonConfluentPresentation", "NotRadical", "WholeRingIdeal",
+        "ZdgenusError"),
+    "genus": (
+        "EmbeddingCertificate", "GenusBounds", "certificate_from_json",
+        "certificate_to_json", "closed_form_bound", "euler_lower_bound",
+        "exact_genus", "face_trace", "genus_biclique", "genus_complete",
+        "is_planar", "k4_attachment_bound", "random_rotation",
+        "subgraph_lower_bound"),
+    "graphs": (
+        "SimpleGraph", "canonical_certificate", "clique_number",
+        "complete_bipartite", "complete_graph", "complete_multipartite",
+        "diameter", "expand", "export_dot", "export_json", "find_biclique",
+        "find_complete_subgraph", "girth", "graph_iso",
+        "ideal_zero_divisor_graph", "induced_subgraph", "is_connected",
+        "make_graph", "twin_quotient", "zero_divisor_graph"),
+    "ideals": (
+        "IdealSet", "QuotientRing", "cyclic_ideal", "enumerate_ideals",
+        "ideal_from_generators", "is_prime", "is_radical", "maximal_ideals",
+        "minimal_primes_over", "quotient", "validate_ideal"),
+    "rings": (
+        "RingSpec", "RingTable", "build_ring", "gf", "is_local", "iso_check",
+        "product", "product_tables", "quotient_algebra", "spec_from_json",
+        "spec_to_json", "units", "zmod"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_exports_keep_their_objects(module):
+    import zdgenus
+
+    defining = sys.modules[f"zdgenus.{module}"]
+    names = PACKAGE_EXPORTS[module]
+    imported = {}
+    exec(f"from zdgenus import {', '.join(names)}", imported)
+    assert [n for n in names if imported[n] is not getattr(defining, n)] == []
+    assert [n for n in names if n not in dir(zdgenus)] == []
+
+
+def test_package_catalog_is_the_function():
+    """`from .catalog import catalog` shadows the submodule of that name."""
+    import zdgenus
+
+    assert zdgenus.catalog is sys.modules["zdgenus.catalog"].catalog
+    assert callable(zdgenus.catalog)
