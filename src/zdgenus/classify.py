@@ -33,6 +33,7 @@ from .genus import (
 from .graphs import (
     SimpleGraph,
     clique_number,
+    complete_multipartite,
     expand,
     find_biclique,
     find_complete_subgraph,
@@ -597,23 +598,19 @@ def _verify_genus_ge2(budget: int) -> list[ClassificationReport]:
 
 
 _EXPANSIONS: tuple[tuple[str, tuple[int, ...], int, int], ...] = (
-    # base graph edges, expansion factor, expected genus
-    ("K_2", (2,), 5, 3),
-    ("K_5", (5,), 2, 3),
+    # base graph, its multipartite shape, expansion factor, expected genus
+    ("K_2", (1, 1), 5, 3),
+    ("K_5", (1, 1, 1, 1, 1), 2, 3),
     ("K_{1,3}", (1, 3), 3, 2),
     ("K_{2,3}", (2, 3), 2, 2),
 )
 
 
 def _verify_expansion_bounds(budget: int) -> list[ClassificationReport]:
-    from .graphs import complete_bipartite, complete_graph
-
     tid = TheoremId.EXPANSION_BOUNDS
     out = []
     for name, shape, t, expected in _EXPANSIONS:
-        base = (complete_graph(shape[0]) if len(shape) == 1
-                else complete_bipartite(*shape))
-        g = expand(base, t)
+        g = expand(complete_multipartite(*shape), t)
         sb, prov = subgraph_lower_bound(g)
         b = exact_genus(g, budget)
         fact = sb >= 2 and b.lower >= 2 and b.upper == expected

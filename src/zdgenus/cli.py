@@ -5,8 +5,8 @@ deterministic; --timing writes elapsed times to stderr only: one line per
 command, or one per classification fact for verify, and for verify and
 atlas a last line with the genus class cache's hits and misses.  --budget
 bounds the genus search and exists only on genus, verify and atlas.  Exit
-codes: 0 success, 1 verification failure, 2 usage or input error, 3
-inconclusive within budget.
+codes: 0 success, 1 verification failure, 2 usage or input error, 3 an
+open answer (genus without an upper bound, or verify inconclusive).
 
 Importing this module loads rings, ideals, catalog and graphs.  genus and
 classify are lazy modules of the package (see zdgenus/__init__.py), looked

@@ -59,7 +59,9 @@ from math import inf
 from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
     SimpleGraph,
+    bicliques,
     canonical_certificate,
+    cliques,
     connected_components,
     girth,
     induced_subgraph,
@@ -67,6 +69,7 @@ from .graphs import (
     clique_number,
     make_graph,
     remove_vertices,
+    twin_quotient,
 )
 
 
@@ -434,38 +437,21 @@ def euler_lower_bound(g: SimpleGraph) -> int:
     return max(0, _ceil_div((gr - 2) * e - gr * (v - 2), 2 * gr))
 
 
-def _max_biclique_n(g: SimpleGraph, m: int) -> int:
-    """Largest n with a K_{m,n} subgraph, by branch and bound over m-sets."""
-    best = 0
-    full = (1 << g.n) - 1
-
-    def rec(start: int, depth: int, common: int, amask: int):
-        nonlocal best
-        if depth == m:
-            best = max(best, (common & ~amask).bit_count())
-            return
-        for v in range(start, g.n - (m - depth) + 1):
-            c2 = common & g.adj[v]
-            if c2.bit_count() <= best:
-                continue
-            rec(v + 1, depth + 1, c2, amask | 1 << v)
-
-    rec(0, 0, full, 0)
-    return best
-
-
 def subgraph_lower_bound(g: SimpleGraph) -> tuple[int, str]:
     """Best genus bound from a complete or complete bipartite subgraph,
     with the witnessing subgraph named."""
     w = clique_number(g)
     best, prov = genus_complete(w), f"K_{w}"
     for m in (3, 4, 5):
-        # a K_{m,n} here has n <= g.n - m; skip m if even that cannot win
-        if g.n < m + 3 or genus_biclique(m, g.n - m) <= best:
+        # the least n whose K_{m,n} beats best, raised past each one found;
+        # a K_{m,n} here has n <= g.n - m
+        n = 3 + 4 * best // (m - 2)
+        if n > g.n - m:
             continue
-        n = _max_biclique_n(g, m)
-        if n >= 3 and genus_biclique(m, n) > best:
-            best, prov = genus_biclique(m, n), f"K_{{{m},{n}}}"
+        for _, common in bicliques(g, m, lambda c: c.bit_count() >= n):
+            n = common.bit_count() + 1
+        if genus_biclique(m, n - 1) > best:
+            best, prov = genus_biclique(m, n - 1), f"K_{{{m},{n - 1}}}"
     return best, prov
 
 
@@ -507,10 +493,17 @@ def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
 
 
 def _k4_scan(g: SimpleGraph) -> int:
-    """Best attached-K_4 bound over all 4-cliques; 0 if none qualifies."""
-    best = 0
-    for q in combinations(range(g.n), 4):
-        if all(g.has_edge(a, b) for a, b in combinations(q, 2)):
+    """Best attached-K_4 bound over all 4-cliques; 0 if none qualifies.
+    Permuting twins is an automorphism, so two 4-cliques that meet the
+    same multiset of twin classes have isomorphic rests: the bound is
+    taken once per multiset."""
+    cls = {v: c for c, members in enumerate(twin_quotient(g).classes)
+           for v in members}
+    best, seen = 0, set()
+    for q in cliques(g, 4):
+        pattern = tuple(sorted(cls[v] for v in q))
+        if pattern not in seen:
+            seen.add(pattern)
             try:
                 best = max(best, k4_attachment_bound(g, q))
             except HypothesisNotMet:

@@ -88,29 +88,18 @@ def make_graph(n: int, edges, labels=None) -> SimpleGraph:
 
 
 def complete_graph(k: int) -> SimpleGraph:
-    return make_graph(k, combinations(range(k), 2))
+    return complete_multipartite(*[1] * k)
 
 
 def complete_bipartite(a: int, b: int) -> SimpleGraph:
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return make_graph(a + b, edges)
+    return complete_multipartite(a, b)
 
 
 def complete_multipartite(*sizes: int) -> SimpleGraph:
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    part = []
-    for p, s in enumerate(sizes):
-        part.extend([p] * s)
-    n = bounds[-1]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part[u] != part[v]
-    ]
-    return make_graph(n, edges)
+    part = [p for p, s in enumerate(sizes) for _ in range(s)]
+    return make_graph(len(part), [(u, v) for u, v in
+                                  combinations(range(len(part)), 2)
+                                  if part[u] != part[v]])
 
 
 def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
@@ -288,26 +277,48 @@ def invariants(g: SimpleGraph) -> dict:
             "clique": clique_number(g)}
 
 
-def find_complete_subgraph(g: SimpleGraph, r: int):
-    """Lexicographically least r-clique as a vertex list, or None."""
-    if r == 0:
-        return []
+def cliques(g: SimpleGraph, r: int):
+    """The r-cliques of g as increasing vertex lists, in lexicographic
+    order."""
 
     def grow(chosen: list[int], cands: int):
         if len(chosen) == r:
-            return list(chosen)
-        if cands.bit_count() < r - len(chosen):
-            return None
-        for v in _bits(cands):
-            chosen.append(v)
-            above = ~((1 << (v + 1)) - 1)
-            hit = grow(chosen, cands & g.adj[v] & above)
-            chosen.pop()
-            if hit is not None:
-                return hit
-        return None
+            yield list(chosen)
+        elif cands.bit_count() >= r - len(chosen):
+            for v in _bits(cands):
+                chosen.append(v)
+                yield from grow(chosen, cands & g.adj[v] >> (v + 1) << (v + 1))
+                chosen.pop()
 
     return grow([], (1 << g.n) - 1)
+
+
+def bicliques(g: SimpleGraph, m: int, enough):
+    """Each m-set of g whose common neighbourhood passes enough(mask), as
+    an increasing vertex list with that bitmask, in lexicographic order.
+    No prefix whose common neighbourhood fails is grown.  enough must fail
+    on every subset of a mask it fails on; it is read afresh at each test,
+    so a caller may tighten it as the sets come.  A vertex whose own row
+    fails it at the start is never tried."""
+    live = [v for v in range(g.n) if enough(g.adj[v])]
+
+    def grow(chosen: list[int], start: int, common: int):
+        if len(chosen) == m:
+            yield list(chosen), common
+            return
+        for i in range(start, len(live) - m + len(chosen) + 1):
+            shared = common & g.adj[live[i]]
+            if enough(shared):
+                chosen.append(live[i])
+                yield from grow(chosen, i + 1, shared)
+                chosen.pop()
+
+    return grow([], 0, (1 << g.n) - 1)
+
+
+def find_complete_subgraph(g: SimpleGraph, r: int):
+    """Lexicographically least r-clique as a vertex list, or None."""
+    return next(cliques(g, r), None)
 
 
 def find_biclique(g: SimpleGraph, m: int, n: int):
@@ -317,13 +328,8 @@ def find_biclique(g: SimpleGraph, m: int, n: int):
         raise MTooLarge(f"biclique side capped at m <= 5, got {m}")
     if m < 1 or n < 1 or m + n > g.n:
         return None
-    for a in combinations(range(g.n), m):
-        common = (1 << g.n) - 1
-        for v in a:
-            common &= g.adj[v]
-        common &= ~sum(1 << v for v in a)
-        if common.bit_count() >= n:
-            return list(a), _bits(common)[:n]
+    for side, common in bicliques(g, m, lambda c: c.bit_count() >= n):
+        return side, _bits(common)[:n]
     return None
 
 
