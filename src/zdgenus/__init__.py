@@ -7,6 +7,14 @@ modules: each is compiled and run on its first attribute access, so a
 caller that only builds rings, ideals and graphs never pays for them.
 Their public names are still served from the package, as in
 `from zdgenus import exact_genus`.
+
+Every one-shot CLI call pays the import, so it loads little of the
+standard library.  Record types are written without dataclasses, which
+would load inspect and generate each class's methods from source: a value
+type, one that compares and hashes by its fields (RingSpec, GenusBounds,
+...), is a typing.NamedTuple; an identity type (RingTable, IdealSet,
+SimpleGraph, ...) is a plain class with an explicit __init__.  json, csv
+and ast are imported inside the functions that use them.
 """
 
 import importlib.util

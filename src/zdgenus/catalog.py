@@ -19,8 +19,8 @@ Tags group entries for the classification sweeps:
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .ideals import IdealSet, enumerate_ideals
@@ -28,8 +28,7 @@ from .rings import (RingSpec, RingTable, build_ring, gf, is_prime_integer,
                     product, quotient_algebra, zmod)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     spec: RingSpec
     generators: tuple[str, ...]

@@ -13,11 +13,10 @@ and none is inconclusive.
 from __future__ import annotations
 
 import enum
-import json
 import weakref
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .catalog import catalog_entries, catalog_pairs, catalog_ring
 from .errors import CliqueHypothesisViolated, ZdgenusError
@@ -93,8 +92,7 @@ class TheoremId(str, enum.Enum):
     GENUS_TWO_EXAMPLES = "GENUS_TWO_EXAMPLES"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Outcome of one verification instance.
 
     verdict is what the classification fact predicts for the instance, fact
@@ -121,7 +119,9 @@ class ClassificationReport:
     detail: str
 
     def to_json(self) -> str:
-        d = asdict(self)
+        import json
+
+        d = self._asdict()
         for key in ("diameter", "girth"):
             d[key] = None if d[key] == INF else d[key]
         return json.dumps(d, sort_keys=True)
@@ -144,16 +144,17 @@ def synthesize(target: RingTable, size: int) -> tuple[RingTable, IdealSet]:
     return table, IdealSet(table, (1 << size) - 1)
 
 
-@dataclass(frozen=True)
 class _Instance:
     """The subject of one report: ring, ideal, ideal size and quotient names,
     and the graph whose invariants the report carries."""
 
-    ring: str
-    ideal: str
-    ideal_size: int
-    quotient: str
-    graph: SimpleGraph
+    def __init__(self, ring: str, ideal: str, ideal_size: int, quotient: str,
+                 graph: SimpleGraph):
+        self.ring = ring
+        self.ideal = ideal
+        self.ideal_size = ideal_size
+        self.quotient = quotient
+        self.graph = graph
 
     @cached_property
     def graph_fields(self) -> dict:
@@ -414,8 +415,7 @@ def _h_embedding(name: str):
 # === Catalog sweep cache ====================================================
 
 
-@dataclass(frozen=True)
-class _PairFacts:
+class _PairFacts(NamedTuple):
     inst: _Instance  # the pair, its quotient's catalog identity, its graph
     prime: bool
     radical: bool
@@ -443,8 +443,7 @@ def _pair_sweep() -> dict[tuple[str, int], _PairFacts]:
     return out
 
 
-@dataclass(frozen=True)
-class _LocalRing:
+class _LocalRing(NamedTuple):
     inst: _Instance  # the ring by name with its zero-divisor graph
     table: RingTable
     residue: int  # size of the residue field

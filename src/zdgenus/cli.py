@@ -12,15 +12,17 @@ Importing this module loads rings, ideals, catalog and graphs.  genus and
 classify are lazy modules of the package (see zdgenus/__init__.py), looked
 up only inside the commands that use them: ring, ideals and graph load
 neither, genus and atlas load genus, and verify loads classify, which
-loads genus.
+loads genus.  No module uses dataclasses, and json, csv and ast are
+imported inside the functions that use them: json for --format json and
+for certificate and spec files, csv for the atlas, ast for the relations
+of a quotient algebra.  So a table-format call without --output loads
+neither json nor csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 import time
@@ -168,6 +170,8 @@ def cmd_ring(args) -> int:
     n_zero_divisors = len(zero_divisors(table)) + 1  # the count includes 0
     local = is_local(table)
     if args.format == "json":
+        import json
+
         payload = json.dumps({
             "name": table.name,
             "order": table.order,
@@ -200,6 +204,8 @@ def cmd_ideals(args) -> int:
         for k, i in enumerate(enumerate_ideals(table))
     ]
     if args.format == "json":
+        import json
+
         lines = [json.dumps(row, ensure_ascii=False) for row in rows]
     else:
         lines = [f"ideals of {table.name}: {len(rows)}"]
@@ -229,6 +235,8 @@ def cmd_graph(args) -> int:
             f"{k}={_fmt(v)}" for k, v in summary.items())
         payload = head + "\n" + export_dot(g)
     elif args.format == "json":
+        import json
+
         payload = json.dumps({
             "ring": table.name,
             "ideal": ideal.describe(),
@@ -260,6 +268,8 @@ def cmd_genus(args) -> int:
         "provenance": list(bounds.provenance),
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(record, ensure_ascii=False))
     else:
         print(f"graph of {table.name} at {ideal.describe()}: "
@@ -360,6 +370,8 @@ def atlas_rows(max_order: int, budget: int) -> list[dict]:
 
 
 def cmd_atlas(args) -> int:
+    import csv
+
     rows = atlas_rows(args.max_order, args.budget)
     buf = io.StringIO()
     buf.write("# zdgenus atlas format 1\n")
@@ -440,7 +452,7 @@ def main(argv=None) -> int:
         code = args.func(args)
     except BrokenPipeError:
         return 0
-    except (ZdgenusError, OSError, json.JSONDecodeError) as exc:
+    except (ZdgenusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timing and args.command != "verify":  # verify times each fact

@@ -50,11 +50,10 @@ re-traced before it is returned.  Open answers are never kept.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, replace
 from itertools import combinations
 from math import inf
+from typing import NamedTuple
 
 from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
@@ -76,15 +75,13 @@ from .graphs import (
 # === Data types =============================================================
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(NamedTuple):
     """Per-vertex cyclic neighbor orders describing an orientable embedding."""
 
     order: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(NamedTuple):
     """A rotation system together with its traced face count and genus."""
 
     rotation: RotationSystem
@@ -92,8 +89,7 @@ class EmbeddingCertificate:
     genus: int
 
 
-@dataclass(frozen=True)
-class GenusBounds:
+class GenusBounds(NamedTuple):
     """Certified genus interval; upper is None when nothing embeds yet."""
 
     lower: int
@@ -801,7 +797,8 @@ def _cached_genus(g: SimpleGraph, order: tuple[int, ...],
     if gen != bounds.upper:
         raise ZdgenusError(f"cached embedding traced to genus {gen}, "
                            f"cached genus {bounds.upper}")
-    return replace(bounds, certificate=EmbeddingCertificate(rot, faces, gen))
+    return bounds._replace(
+        certificate=EmbeddingCertificate(rot, faces, gen))
 
 
 def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
@@ -857,8 +854,8 @@ def _exact_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
         rank = [0] * g.n
         for k, v in enumerate(form.order):
             rank[v] = k
-        canon = replace(cert, rotation=_relabel(cert.rotation, rank))
-        _GENUS_CACHE[form.key] = (replace(bounds, certificate=canon),
+        canon = cert._replace(rotation=_relabel(cert.rotation, rank))
+        _GENUS_CACHE[form.key] = (bounds._replace(certificate=canon),
                                   before - spent[0])
     return bounds
 
@@ -956,6 +953,8 @@ CERTIFICATE_FORMAT = "zdgenus-embedding-1"
 
 
 def certificate_to_json(g: SimpleGraph, cert: EmbeddingCertificate) -> str:
+    import json
+
     data = {
         "format": CERTIFICATE_FORMAT,
         "genus": cert.genus,
@@ -967,6 +966,8 @@ def certificate_to_json(g: SimpleGraph, cert: EmbeddingCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> EmbeddingCertificate:
+    import json
+
     try:
         data = json.loads(text)
         if data["format"] != CERTIFICATE_FORMAT:

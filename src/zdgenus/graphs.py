@@ -8,10 +8,9 @@ clique and biclique searches.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import inf
+from typing import NamedTuple
 
 from .errors import InvalidSpec, MTooLarge, TooLarge, WholeRingIdeal
 from .rings import RingTable
@@ -21,26 +20,24 @@ from .ideals import IdealSet
 # === Core structure =========================================================
 
 
-@dataclass(eq=False)
 class SimpleGraph:
     """Undirected simple graph: bitmask adjacency rows plus vertex labels."""
 
-    n: int
-    adj: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.adj) != self.n or len(self.labels) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[str, ...]):
+        if len(adj) != n or len(labels) != n:
             raise InvalidSpec("adjacency/label length mismatch")
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row >> v & 1:
                 raise InvalidSpec(f"self-loop at vertex {v}")
-            if row >> self.n:
+            if row >> n:
                 raise InvalidSpec(f"adjacency row {v} out of range")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (adj[u] >> v & 1) != (adj[v] >> u & 1):
                     raise InvalidSpec(f"asymmetric adjacency {u},{v}")
+        self.n = n
+        self.adj = adj
+        self.labels = labels
 
     @property
     def m(self) -> int:
@@ -353,6 +350,8 @@ def export_dot(g: SimpleGraph) -> str:
 
 
 def export_json(g: SimpleGraph) -> str:
+    import json
+
     data = {
         "n": g.n,
         "labels": list(g.labels),
@@ -364,8 +363,7 @@ def export_json(g: SimpleGraph) -> str:
 # === Isomorphism ============================================================
 
 
-@dataclass(frozen=True)
-class TwinQuotient:
+class TwinQuotient(NamedTuple):
     """The twin classes of a graph and the graph they induce.
 
     A class is a set of false twins (equal open neighbourhoods, an
@@ -421,15 +419,23 @@ def _refine(g: SimpleGraph, colors: list[int]) -> list[int]:
         colors = new
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """key is equal for two graphs exactly when they are isomorphic.  order
     lists the vertices canonically: for isomorphic g and h, the map from
     g's order[k] to h's order[k] is an isomorphism.  Forms compare and hash
     by key alone."""
 
     key: tuple
-    order: tuple[int, ...] = field(compare=False)
+    order: tuple[int, ...]
+
+    def __eq__(self, other):
+        return isinstance(other, CanonicalForm) and self.key == other.key
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the order
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 def canonical_certificate(g: SimpleGraph) -> CanonicalForm:

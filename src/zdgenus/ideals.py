@@ -11,8 +11,6 @@ exhaustive; orders are <= 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotRadical, WholeRingIdeal, ZdgenusError
 from .rings import RingTable
 
@@ -20,12 +18,12 @@ from .rings import RingTable
 # === IdealSet ===============================================================
 
 
-@dataclass(eq=False)
 class IdealSet:
     """A subset of ring-element indices, closed as an ideal."""
 
-    ring: RingTable
-    mask: int
+    def __init__(self, ring: RingTable, mask: int):
+        self.ring = ring
+        self.mask = mask
 
     @property
     def size(self) -> int:
@@ -147,13 +145,14 @@ def maximal_ideals(t: RingTable) -> list[IdealSet]:
 # === Quotients ==============================================================
 
 
-@dataclass(eq=False)
 class QuotientRing:
     """Coset table of R/I with the projection map and coset representatives."""
 
-    table: RingTable
-    projection: tuple[int, ...]
-    coset_reps: tuple[int, ...]
+    def __init__(self, table: RingTable, projection: tuple[int, ...],
+                 coset_reps: tuple[int, ...]):
+        self.table = table
+        self.projection = projection
+        self.coset_reps = coset_reps
 
 
 def quotient(t: RingTable, i: IdealSet) -> QuotientRing:

@@ -20,15 +20,13 @@ Python ints and every check is complete.
 
 from __future__ import annotations
 
-import ast
 import itertools
-import json
 import reprlib
 import weakref
 from array import array
-from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InvalidSpec, NonConfluentPresentation
 
@@ -40,8 +38,7 @@ MAX_TERM_PAIRS = 2**20
 # === Specs ==================================================================
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """One relation of a quotient-algebra presentation.
 
     ``lhs`` is a single monomial term (integer coefficient >= 1, degree >= 1)
@@ -56,8 +53,7 @@ class RewriteRule:
     rhs: str
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple):
     """Presentation of a finite commutative ring.
 
     kind is one of "zmod", "gf", "product", "quotient".  Unused fields stay
@@ -159,25 +155,27 @@ def quotient_algebra(
 # === Tables =================================================================
 
 
-@dataclass(eq=False)
 class RingTable:
     """A finite commutative ring as explicit index tables.
 
     ``add`` and ``mul`` are tuples of rows of Python ints over element
     indices: ``add[a][b]`` is the index of a + b.  Tuples make a built table
-    immutable."""
+    immutable.  Tables compare and hash by identity, and the fingerprint
+    memo holds them by weak reference."""
 
-    order: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    zero: int
-    one: int
-    labels: tuple[str, ...]
-    name: str = ""
-    spec: RingSpec | None = None
-
-    def __post_init__(self):
-        self._label_index = {s: i for i, s in enumerate(self.labels)}
+    def __init__(self, order: int, add: tuple[tuple[int, ...], ...],
+                 mul: tuple[tuple[int, ...], ...], zero: int, one: int,
+                 labels: tuple[str, ...], name: str = "",
+                 spec: RingSpec | None = None):
+        self.order = order
+        self.add = add
+        self.mul = mul
+        self.zero = zero
+        self.one = one
+        self.labels = labels
+        self.name = name
+        self.spec = spec
+        self._label_index = {s: i for i, s in enumerate(labels)}
 
     def neg(self, a: int) -> int:
         return self.add[a].index(self.zero)
@@ -201,11 +199,14 @@ class RingTable:
         return f"RingTable({self.name or 'unnamed'}, order={self.order})"
 
 
-@dataclass
 class ValidationReport:
     """Axiom violations found in a table; empty iff the table is a ring."""
 
-    violations: list[tuple[str, tuple]] = field(default_factory=list)
+    def __init__(self):
+        self.violations: list[tuple[str, tuple]] = []
+
+    def __repr__(self):
+        return f"ValidationReport({self.violations!r})"
 
     @property
     def ok(self) -> bool:
@@ -226,6 +227,8 @@ def _parse_poly(text: str, variables: tuple[str, ...], n: int):
     binary +, - and *, and powers with a literal non-negative integer
     exponent.  The string is parsed, never evaluated.
     """
+    import ast
+
     if not isinstance(text, str):
         raise InvalidSpec(f"relation sides must be strings, got {text!r}")
     index = {v: i for i, v in enumerate(variables)}
@@ -886,6 +889,8 @@ def iso_check(a: RingTable, b: RingTable) -> list[int] | None:
 
 
 def spec_to_json(spec: RingSpec) -> str:
+    import json
+
     def enc(s: RingSpec):
         if s.kind == "zmod":
             return {"kind": "zmod", "n": s.n, "name": s.name}
@@ -910,6 +915,8 @@ def spec_to_json(spec: RingSpec) -> str:
 
 
 def spec_from_json(text: str) -> RingSpec:
+    import json
+
     def dec(d) -> RingSpec:
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidSpec("ring spec JSON must be an object with a kind")

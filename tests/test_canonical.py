@@ -160,3 +160,15 @@ def test_graph_iso_matches_brute_force(g, data):
         edges ^= {(u, v)}
         h = make_graph(g.n, sorted(edges))
     assert graph_iso(g, h) == brute_force_iso(g, h)
+
+
+def test_forms_with_one_key_are_equal_and_hash_equal_whatever_their_order():
+    """The genus class cache is keyed by form.key, and graph_iso compares
+    whole forms, so the order must not enter equality or the hash."""
+    g = canonical_certificate(make_graph(3, [(0, 1), (1, 2)]))
+    h = canonical_certificate(make_graph(3, [(0, 2), (2, 1)]))
+    assert g.key == h.key and g.order != h.order
+    assert g == h and not g != h
+    assert hash(g) == hash(h)
+    assert len({g, h}) == 1
+    assert g != tuple(g)  # a form equals only forms

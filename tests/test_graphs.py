@@ -5,6 +5,7 @@ import pytest
 
 from zdgenus import (
     IdealSet,
+    SimpleGraph,
     canonical_certificate,
     catalog_ring,
     clique_number,
@@ -228,3 +229,8 @@ def test_graph_iso():
     assert graph_iso(g, h)
     assert not graph_iso(g, complete_graph(4))
     assert not graph_iso(g, make_graph(4, [(0, 1), (0, 2), (0, 3)]))
+
+
+def test_simple_graph_rejects_asymmetric_rows():
+    with pytest.raises(InvalidSpec, match="asymmetric"):
+        SimpleGraph(2, (0b10, 0), ("a", "b"))

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -595,3 +596,14 @@ def test_iso_check_refuses_a_map_respecting_only_multiplication():
     u = RingTable(8, add, t.mul, t.zero, t.one, t.labels)
     assert not validate_table(u).ok
     assert iso_check(t, u) is None and _ref_iso_check(t, u) is None
+
+
+def test_ring_tables_compare_by_identity_and_take_weak_references():
+    """Equal tables stay distinct objects: ideals, quotients and the
+    fingerprint memo all key on the table itself."""
+    t = catalog_ring("Z_6")
+    u = RingTable(t.order, t.add, t.mul, t.zero, t.one, t.labels, t.name)
+    assert t == t and t != u and len({t, u}) == 2
+    assert weakref.ref(u)() is u
+    assert rings._fingerprints(u) == rings._fingerprints(t)
+    assert u in rings._FINGERPRINTS

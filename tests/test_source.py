@@ -56,6 +56,15 @@ def test_no_numpy_imports(path):
     assert not lines, f"{path.name}: numpy imported at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_imports(path):
+    """dataclasses loads inspect and generates each class's methods from
+    source at import, a cost every one-shot call paid before its work:
+    value types are typing.NamedTuple, identity types plain classes."""
+    lines = imported_at(path, "dataclasses")
+    assert not lines, f"{path.name}: dataclasses imported at lines {lines}"
+
+
 def run_python(code, *args):
     """Run code in a fresh interpreter that imports zdgenus from src/."""
     src = str(Path(__file__).parent.parent / "src")
@@ -87,12 +96,15 @@ def test_cli_import_leaves_numpy_unloaded():
     assert cli_import_loads("numpy") == "False"
 
 
-@pytest.mark.parametrize("argv", [
+ONE_SHOT_CALLS = [
     ["ring", "Z_2×Z_4"],
     ["ideals", "Z_2×Z_4"],
     ["graph", "Z_2×Z_4", "#1"],
     ["genus", "Z_2×Z_4", "#1"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT_CALLS, ids=lambda argv: argv[0])
 def test_cli_runs_with_numpy_blocked(argv):
     """A None entry in sys.modules makes every import of numpy fail."""
     run = "from zdgenus.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -128,6 +140,34 @@ def test_one_shot_commands_run_only_the_layers_they_use(argv, ran):
     proc = run_python(code, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(ran)
+
+
+def loaded_after_main(argv, modules):
+    """Which of modules are in sys.modules after main(argv) in a fresh
+    interpreter, as the printed list."""
+    proc = run_python(
+        "import sys\n"
+        "from zdgenus.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
+        "sys.exit(code)\n", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT_CALLS, ids=lambda argv: argv[0])
+def test_one_shot_commands_leave_unused_stdlib_unloaded(argv):
+    """json, csv and ast are imported inside the functions that use them,
+    and no module imports dataclasses (and with it inspect)."""
+    unused = ("dataclasses", "inspect", "json", "csv", "ast")
+    assert loaded_after_main(argv, unused) == "[]"
+
+
+def test_json_format_loads_json():
+    """The positive control for the test above: the probe sees an import
+    made inside a command."""
+    argv = ["ring", "Z_2×Z_4", "--format", "json"]
+    assert loaded_after_main(argv, ("json",)) == "['json']"
 
 
 def test_cli_import_registers_the_traced_modules():
