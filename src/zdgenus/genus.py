@@ -27,8 +27,19 @@ it was found at is certified: the first level is a closed-form or
 attached-K4 lower bound and every later one follows an exhausted level.
 Every found rotation is re-traced by face_trace.  A graph the plain search
 settles within its first 100 nodes per level gets the same rotation at the
-same cost as without the restarts; K_{1,1,1,1,8}, which the plain search
-embeds after 0.85 M nodes, is settled by restart 63 in 38 k nodes.
+same cost as without the restarts.
+
+Edges are inserted vertex by vertex in a greedy order, except when the
+first level is the subgraph bound of a K_{m,n} with (m - 2)(n - 2)
+divisible by 4.  Then that witness's edges go first.  Every embedding of
+such a K_{m,n} at its genus (m - 2)(n - 2) / 4 is all quadrilaterals
+(Ringel 1965), so the search spends all its handles inside the witness,
+and every later edge has to split a face, which the move rules prune.
+K_{1,1,1,1,8}, certified at 3 by its K_{4,8}, settles in 53 nodes this
+way, against 0.85 M for the plain search in vertex order.  A witness that
+is not tight leaves handles to spend on the rest, and witness-first made
+such searches longer (a K_{3,7}-certified class went from 892 to 56 989
+nodes), so every other graph keeps the vertex order.
 
 Planarity is decided here, with no graph library: an Euler edge count,
 then each biconnected block by the path-addition test of Demoucron,
@@ -62,6 +73,7 @@ from .graphs import (
     canonical_certificate,
     cliques,
     connected_components,
+    find_biclique,
     girth,
     induced_subgraph,
     is_connected,
@@ -514,33 +526,45 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _build_steps(g: SimpleGraph):
-    """Steps (v, u, dart out of v, first edge of v), in vertex order; step s
-    owns darts 2s, from v to u, and 2s + 1.  They depend on g alone, so one
-    list serves every embedder at every level."""
-    first = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    order = [first]
-    placed = {first}
-    while len(order) < g.n:
-        nv = max(
-            (v for v in range(g.n) if v not in placed),
-            key=lambda v: (
-                (g.adj[v] & sum(1 << p for p in placed)).bit_count(),
-                g.degree(v),
-                -v,
-            ),
-        )
-        order.append(nv)
-        placed.add(nv)
-    pos = {v: i for i, v in enumerate(order)}
+def _build_steps(g: SimpleGraph, witness=None):
+    """Steps (v, u, dart out of v, first edge of v); step s owns darts 2s,
+    from v to u, and 2s + 1.  Vertices are ordered greedily, each next one
+    with the most placed neighbours, then the highest degree, then the
+    lowest index.  Each vertex's edges back to earlier ones follow in that
+    order, to the earliest first.
+
+    A witness (A, B), the sides of a K_{m,n} subgraph, goes first: its
+    vertices are ordered by the same rule over the witness edges alone,
+    and every witness edge is inserted before any other edge.  The steps
+    depend on g and the witness alone, so one list serves every embedder
+    at every level."""
+    lead = g.adj  # the rows whose edges are inserted first
+    if witness is not None:
+        a, b = (_mask(side) for side in witness)
+        lead = [b if a >> v & 1 else a if b >> v & 1 else 0
+                for v in range(g.n)]
+    order: list[int] = []
+    placed = 0
+    for rows in (lead, g.adj):
+        while True:
+            # unplaced vertices with an edge in rows to a placed one; the
+            # first vertex is taken by degree alone
+            cands = [v for v in range(g.n) if not placed >> v & 1
+                     and (rows[v] & placed if order else rows[v])]
+            if not cands:
+                break
+            nv = max(cands, key=lambda v: (
+                (rows[v] & placed).bit_count(), rows[v].bit_count(), -v))
+            order.append(nv)
+            placed |= 1 << nv
     steps = []
-    for v in order[1:]:
-        backs = sorted(
-            (u for u in g.neighbors(v) if pos[u] < pos[v]),
-            key=lambda u: pos[u],
-        )
-        for j, u in enumerate(backs):
-            steps.append((v, u, 2 * len(steps), j == 0))
+    started = {order[0]}
+    for rows in (lead, [row & ~w for row, w in zip(g.adj, lead)]):
+        for k, v in enumerate(order):
+            for u in order[:k]:
+                if rows[v] >> u & 1:
+                    steps.append((v, u, 2 * len(steps), v not in started))
+                    started.add(v)
     return steps
 
 
@@ -867,7 +891,7 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
     if g.m > EXHAUSTIVE_EDGE_CAP:
         return GenusBounds(target, None,
                            tuple(prov + ["too many edges for search"]), None)
-    steps = _build_steps(g)
+    steps = _build_steps(g, _tight_witness(g, target, prov))
     while True:
         try:
             rot = _search_level(g, spent, target, steps)
@@ -905,6 +929,20 @@ def _certified_level(g: SimpleGraph) -> tuple[int, list[str]]:
         if kb > lb:
             lb, prov = kb, [f"attached K4 bound {kb}"]
     return lb, prov
+
+
+def _tight_witness(g: SimpleGraph, level: int, prov: list[str]):
+    """The sides of the K_{m,n} subgraph that certifies level, when prov
+    names one with (m - 2)(n - 2) = 4 * level; None otherwise.
+
+    Every embedding of such a K_{m,n} at genus level is all quadrilaterals
+    (Ringel 1965), so once the witness is embedded at the level, every
+    other edge has to split a face, and the search prunes those steps."""
+    for m in (3, 4, 5):
+        n, rem = divmod(4 * level, m - 2)
+        if rem == 0 and prov == [f"subgraph K_{{{m},{n + 2}}}"]:
+            return find_biclique(g, m, n + 2)
+    return None
 
 
 def _luby(i: int) -> int:

@@ -214,6 +214,14 @@ def test_genus_unsettled_exits_3(capsys):
     assert "genus upper: unknown" in out
 
 
+def test_genus_settles_a_tight_biclique_class_at_the_minimum_budget(capsys):
+    # Gamma_(8)(Z_32) is K_{1,1,1,1,8}, certified at 3 by a K_{4,8}; with
+    # that witness's edges first it embeds well within 10 000 nodes
+    code, out, _ = run(capsys, "genus", "Z_32", "gen:8", "--budget", "10000")
+    assert code == 0
+    assert "genus: 3" in out
+
+
 def test_budget_floor_exits_2(capsys):
     code, _, err = run(capsys, "genus", "Z_25", "#0", "--budget", "100")
     assert code == 2

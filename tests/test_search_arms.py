@@ -7,8 +7,9 @@ restarts have spent RESTART_NODES nodes; then the plain search runs on
 alone.  The references kept here are the recursive embedder and the
 three-arm level search that came before (the plain search capped at
 RESTART_NODES, then the restarts, then the plain search from scratch),
-verbatim but for their names.  The plain search and every restart run must
-walk exactly as the reference's did, a paused run must resume at the pair
+verbatim but for their names and the steps the recursive embedder may be
+handed.  The plain search and every restart run must walk exactly as the
+reference's did over the same steps, a paused run must resume at the pair
 it stopped before, and the schedule must give the plain search's bounds and
 provenance, spending at most min(p, RESTART_NODES) more nodes on a level
 that the plain search settles in p nodes.
@@ -41,6 +42,7 @@ from zdgenus import (
 )
 from zdgenus import genus as genus_module
 from zdgenus.catalog import catalog_pairs, catalog_ring
+from zdgenus.cli import resolve_ideal, resolve_ring
 from zdgenus.classify import verify_all
 from zdgenus.errors import ZdgenusError
 from zdgenus.genus import RotationSystem, _luby, _OutOfBudget
@@ -77,11 +79,12 @@ class _RefEmbedder:
     adding a handle.  Same-face pairs are tried before cross pairs, and
     cross pairs only below the target genus."""
 
-    def __init__(self, g: SimpleGraph, budget: list[int], rng=None):
+    def __init__(self, g: SimpleGraph, budget: list[int], rng=None,
+                 steps=None):
         self.g = g
         self.budget = budget
         self.rng = rng
-        self.steps = self._build_steps()
+        self.steps = self._build_steps() if steps is None else steps
         # the target vertex of each dart
         self.tgt = [w for v, u, _, _ in self.steps for w in (u, v)]
         self.nxt = [0] * len(self.tgt)
@@ -281,16 +284,34 @@ def z32_at_8():
     return ideal_zero_divisor_graph(z32, cyclic_ideal(z32, z32.labels.index("8")))
 
 
-def new_embedder(g, spent, rng=None):
-    return genus_module._Embedder(g, spent, genus_module._build_steps(g), rng)
+def z3xz12_at_7():
+    """Gamma_(#7)(Z_3×Z_12), a universe graph that a restart settles before
+    the plain search does."""
+    t = resolve_ring("Z_3×Z_12")
+    return ideal_zero_divisor_graph(t, resolve_ideal(t, "#7"))
+
+
+def new_embedder(g, spent, rng=None, steps=None):
+    """An embedder over the given steps, by default those in vertex order."""
+    if steps is None:
+        steps = genus_module._build_steps(g)
+    return genus_module._Embedder(g, spent, steps, rng)
+
+
+def search_steps(g, level, prov):
+    """The steps `_search_genus` builds at the certified level and its
+    provenance: the tight witness's edges first, if it has one."""
+    return genus_module._build_steps(
+        g, genus_module._tight_witness(g, level, prov))
 
 
 def plain_search(g, budget=10**9, embedder=new_embedder):
-    """(genus, provenance, rotation, nodes per level) of the plain search,
-    level by level from the certified level; None if budget runs out."""
+    """(genus, provenance, rotation, nodes per level) of the plain search
+    over the steps `_search_genus` builds, level by level from the
+    certified level; None if budget runs out."""
     level, prov = genus_module._certified_level(g)
     spent = [budget]
-    emb = embedder(g, spent)
+    emb = embedder(g, spent, steps=search_steps(g, level, prov))
     nodes = []
     try:
         while True:
@@ -394,15 +415,14 @@ def test_plain_search_matches_the_reference_on_catalog_classes(
         searched_classes, plain_runs):
     # 14 classes from the atlas, 8 more from verify all
     assert len(searched_classes) == 22
-    # the two slow classes, pinned rather than walked twice
-    big = {(10, 40): 1_961_939,  # K_{2,2,2,2,2}
-           (12, 38): 849_821}  # K_{1,1,1,1,8}
+    pins = {(10, 40): 1_961_939,  # K_{2,2,2,2,2}, not walked twice
+            (12, 38): 53}  # K_{1,1,1,1,8}, with its K_{4,8} first
     assert sorted((g.n, g.m) for g in searched_classes
-                  if (g.n, g.m) in big) == sorted(big)
+                  if (g.n, g.m) in pins) == sorted(pins)
     for g, run in zip(searched_classes, plain_runs):
-        if (g.n, g.m) in big:
-            assert sum(run[3]) == big[g.n, g.m]
-        else:
+        if (g.n, g.m) in pins:
+            assert sum(run[3]) == pins[g.n, g.m]
+        if (g.n, g.m) != (10, 40):
             assert run == plain_search(g, embedder=_RefEmbedder)
 
 
@@ -430,22 +450,25 @@ def test_classes_settled_in_the_first_slice_keep_rotation_and_nodes(
             # settled in the plain search's first slice
             quick += 1
             assert (b.certificate.rotation, spent) == (rot, sum(nodes))
-    assert quick == 17
+    assert quick == 18
 
 
-def test_k11118_settles_by_the_reference_restart_within_one_cap():
-    for g in (complete_multipartite(1, 1, 1, 1, 8), z32_at_8()):
-        assert (g.n, g.m) == (12, 38)
-        b, spent = arms_search(g)
-        ref, ref_spent = ref_arms_search(g)
-        assert (b.lower, b.upper) == (ref.lower, ref.upper) == (3, 3)
-        assert b.provenance == ref.provenance == (
-            "subgraph K_{4,8}", "embedded at genus 3")
-        # more than the reference's first arm, so a restart found it
-        assert CAP < ref_spent <= 2 * CAP
-        # the same restart, now after half the nodes
-        assert b.certificate.rotation == ref.certificate.rotation
-        assert spent < CAP
+def test_z3xz12_7_settles_by_the_reference_restart_in_the_first_slice():
+    g = z3xz12_at_7()
+    assert (g.n, g.m) == (9, 36)
+    level, prov, rot, nodes = plain_search(g)
+    assert (level, prov, nodes) == (
+        3, ("euler bound 3", "embedded at genus 3"), (29_156,))
+    b, spent = arms_search(g)
+    assert (b.lower, b.upper, b.provenance) == (level, level, prov)
+    # the plain search's first slice of 100 nodes, then restart 1, which
+    # embeds it as the reference's restart 1 does
+    ref_spent = [10**9]
+    ref = _RefEmbedder(g, ref_spent, random.Random(1),
+                       search_steps(g, *genus_module._certified_level(g)))
+    assert ref.search(level, 100)
+    assert spent == 100 + 10**9 - ref_spent[0] == 160
+    assert b.certificate.rotation == ref.found != rot
 
 
 def test_restart_runs_match_the_reference_on_k11118():
@@ -462,7 +485,7 @@ def test_restart_runs_match_the_reference_on_k11118():
         assert outcomes[0] == outcomes[1]
         if outcomes[0][0]:
             settled.append(i)
-    # restart 63 is the first to embed it, the last the search reaches
+    # in vertex order, restart 63 is the first to embed it
     assert settled[0] == 63
 
 
@@ -487,7 +510,7 @@ def test_certificate_bytes_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_restart_rotation_with_a_wrong_genus_raises(monkeypatch):
-    g = complete_multipartite(1, 1, 1, 1, 8)
+    g = z3xz12_at_7()
     wrong = genus_module.RotationSystem(
         tuple(tuple(g.neighbors(v)) for v in range(g.n)))
     assert face_trace(g, wrong)[1] != 3
