@@ -346,11 +346,17 @@ ATLAS_COLUMNS = (
 
 
 def atlas_rows(max_order: int, budget: int) -> list[dict]:
+    """One row per catalog pair.  Rows whose graphs have equal adjacency
+    share one genus search and one set of invariants: every value a row
+    prints depends on the adjacency and the budget alone, and the budget
+    is the same for every row."""
     rows = []
+    by_adj: dict[tuple[int, ...], tuple] = {}
     for name, table, ideal in catalog_pairs(max_order):
         g = ideal_zero_divisor_graph(table, ideal)
-        bounds = genus.exact_genus(g, budget)
-        inv = invariants(g)
+        if g.adj not in by_adj:
+            by_adj[g.adj] = (genus.exact_genus(g, budget), invariants(g))
+        bounds, inv = by_adj[g.adj]
         rows.append({
             "ring": name,
             "ideal": ideal.describe(),

@@ -31,10 +31,10 @@ class SimpleGraph:
                 raise InvalidSpec(f"self-loop at vertex {v}")
             if row >> n:
                 raise InvalidSpec(f"adjacency row {v} out of range")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (adj[u] >> v & 1) != (adj[v] >> u & 1):
-                    raise InvalidSpec(f"asymmetric adjacency {u},{v}")
+        if not _symmetric(adj):
+            u, v = min((min(u, v), max(u, v)) for u, row in enumerate(adj)
+                       for v in _bits(row) if not adj[v] >> u & 1)
+            raise InvalidSpec(f"asymmetric adjacency {u},{v}")
         self.n = n
         self.adj = adj
         self.labels = labels
@@ -61,6 +61,22 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={self.m})"
+
+
+def _symmetric(adj: tuple[int, ...]) -> bool:
+    """Every set bit has its mirror, in O(m) steps: each bit above the
+    diagonal is looked up in the row it points to, and then as many bits
+    below the diagonal as above leaves no one-way bit below either."""
+    above = 0
+    for u, row in enumerate(adj):
+        high = row >> u + 1 << u + 1
+        above += high.bit_count()
+        while high:
+            low = high & -high
+            if not adj[low.bit_length() - 1] >> u & 1:
+                return False
+            high ^= low
+    return 2 * above == sum(row.bit_count() for row in adj)
 
 
 def _bits(mask: int) -> list[int]:
@@ -130,24 +146,37 @@ def zero_divisor_graph(t: RingTable) -> SimpleGraph:
 def ideal_zero_divisor_graph(t: RingTable, i: IdealSet) -> SimpleGraph:
     """Graph on elements outside I that multiply into I with a partner
     outside I; edges join pairs whose product lands in I.  Vertices are
-    sorted by (least element of their coset, element index)."""
+    sorted by (least element of their coset, element index).
+
+    Each element's partners are read off its multiplication row in one
+    pass: the row, as bytes, goes through a translation table that maps an
+    element to b"1" when it lies in I and to b"0" otherwise, and read
+    backwards that is the partner mask in binary.  x is a vertex when its
+    mask has a bit outside I (x² in I counts), and its row in the graph is
+    that mask without x, renumbered to vertex positions.  Element indices
+    must fit in a byte, as they do up to MAX_ORDER."""
     if i.is_whole():
         raise WholeRingIdeal("the whole ring leaves no outside elements")
+    mask = i.mask
     members = i.members()
-    outside = [x for x in range(t.order) if not i.contains(x)]
-    verts = []
-    for x in outside:
-        row = t.mul[x]
-        if any(i.contains(row[y]) for y in outside):
-            verts.append(x)
-    verts.sort(key=lambda x: (min(t.add[x][m] for m in members), x))
+    in_ideal = f"{mask:0256b}"[::-1].encode()
+    outside = (1 << t.order) - 1 & ~mask
+    partners = {}
+    for x in _bits(outside):
+        found = int(bytes(t.mul[x]).translate(in_ideal)[::-1], 2) & outside
+        if found:
+            partners[x] = found & ~(1 << x)
+    verts = sorted(partners, key=lambda x: (
+        min(map(t.add[x].__getitem__, members)), x))
     pos = {x: k for k, x in enumerate(verts)}
-    edges = [
-        (pos[x], pos[y])
-        for x, y in combinations(verts, 2)
-        if i.contains(t.mul[x][y])
-    ]
-    return make_graph(len(verts), edges, tuple(t.labels[x] for x in verts))
+    adj = []
+    for x in verts:
+        row = 0
+        for y in _bits(partners[x]):
+            row |= 1 << pos[y]
+        adj.append(row)
+    return SimpleGraph(len(verts), tuple(adj),
+                       tuple(t.labels[x] for x in verts))
 
 
 def expand(g: SimpleGraph, t: int) -> SimpleGraph:
@@ -170,43 +199,39 @@ def expand(g: SimpleGraph, t: int) -> SimpleGraph:
 # === Invariants =============================================================
 
 
-def _bfs_dist(g: SimpleGraph, src: int, skip_edge=None) -> list:
-    dist = [inf] * g.n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            row = g.adj[u]
-            if skip_edge is not None and u in skip_edge:
-                row &= ~(1 << skip_edge[u])
-            for v in _bits(row):
-                if dist[v] is inf:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _reach(g: SimpleGraph, src: int) -> tuple[int, int]:
+    """(bitmask of the vertices reachable from src, src's eccentricity
+    within them) by level-set BFS: each level is the OR of the rows of the
+    previous level, minus the vertices already seen."""
+    adj = g.adj
+    seen = level = 1 << src
+    depth = -1
+    while level:
+        depth += 1
+        nxt = 0
+        while level:
+            low = level & -level
+            nxt |= adj[low.bit_length() - 1]
+            level ^= low
+        level = nxt & ~seen
+        seen |= level
+    return seen, depth
 
 
 def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
         return True
-    return all(d is not inf for d in _bfs_dist(g, 0))
+    return _reach(g, 0)[0] == (1 << g.n) - 1
 
 
 def connected_components(g: SimpleGraph) -> list[list[int]]:
-    seen = [False] * g.n
+    """Components in order of their least vertex, members increasing."""
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        dist = _bfs_dist(g, s)
-        comp = [v for v in range(g.n) if dist[v] is not inf and not seen[v]]
-        for v in comp:
-            seen[v] = True
-        comps.append(comp)
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = _reach(g, (rest & -rest).bit_length() - 1)[0]
+        comps.append(_bits(comp))
+        rest &= ~comp
     return comps
 
 
@@ -214,28 +239,52 @@ def diameter(g: SimpleGraph):
     """Longest shortest path; 0 for the empty graph, inf if disconnected."""
     if g.n == 0:
         return 0
+    full = (1 << g.n) - 1
     best = 0
     for s in range(g.n):
-        dist = _bfs_dist(g, s)
-        worst = max(dist)
-        if worst is inf:
+        seen, ecc = _reach(g, s)
+        if seen != full:
             return inf
-        best = max(best, worst)
+        best = max(best, ecc)
     return best
 
 
 def girth(g: SimpleGraph):
-    """Length of a shortest cycle, inf for forests.  Each edge is removed in
-    turn and the endpoint distance in the rest gives the best cycle through
-    that edge."""
-    edges = g.edges()
-    if any(g.adj[u] & g.adj[v] for u, v in edges):
-        return 3  # a triangle: no simple graph has a shorter cycle
+    """Length of a shortest cycle, inf for forests.
+
+    One level-set BFS per root.  An edge inside level k closes a cycle of
+    length at most 2k+1 with the root's shortest paths, and a vertex of
+    level k+1 hit from two vertices of level k closes one of length at most
+    2k+2, so no root finds less than the girth.  On a shortest cycle
+    through the root every vertex lies at its distance along the cycle, so
+    that root finds the girth: at the middle edge or the opposite vertex.
+    The minimum over all roots is therefore exact.  A root stops at its
+    first such level, since later levels find more, or once 2k+1 reaches
+    the best length so far."""
+    adj = g.adj
     best = inf
-    for u, v in edges:
-        dist = _bfs_dist(g, u, skip_edge={u: v, v: u})
-        if dist[v] is not inf and dist[v] + 1 < best:
-            best = dist[v] + 1
+    for r in range(g.n):
+        seen = level = 1 << r
+        k = 0
+        while level and 2 * k + 1 < best:
+            nxt = inner = twice = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                inner |= row & level
+                fresh = row & ~seen
+                twice |= nxt & fresh
+                nxt |= fresh
+                rest ^= low
+            if inner or twice:
+                best = min(best, 2 * k + (1 if inner else 2))
+                break
+            seen |= nxt
+            level = nxt
+            k += 1
+        if best == 3:
+            break  # no simple graph has a shorter cycle
     return best
 
 

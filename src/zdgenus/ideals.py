@@ -194,27 +194,24 @@ def is_prime(i: IdealSet) -> bool:
     t = i.ring
     if i.is_whole():
         return False
-    outside = [x for x in range(t.order) if not i.contains(x)]
+    mask = i.mask
+    outside = [x for x in range(t.order) if not mask >> x & 1]
     for a in outside:
         row = t.mul[a]
         for b in outside:
-            if i.contains(row[b]):
+            if mask >> row[b] & 1:
                 return False
     return True
 
 
 def is_radical(i: IdealSet) -> bool:
-    """True iff no element outside I has a power inside I."""
-    t = i.ring
-    for x in range(t.order):
-        if i.contains(x):
-            continue
-        cur = x
-        for _ in range(t.order):
-            cur = t.mul[cur][x]
-            if i.contains(cur):
-                return False
-    return True
+    """True iff no element outside I has a power inside I, which holds iff
+    no element outside I has its square inside I: if x^k lies in I with
+    k >= 2 least, then y = x^(k-1) lies outside I and y² = x^(2k-2),
+    a multiple of x^k since 2k-2 >= k, lies inside."""
+    t, mask = i.ring, i.mask
+    return not any(mask >> t.mul[x][x] & 1 for x in range(t.order)
+                   if not mask >> x & 1)
 
 
 def minimal_primes_over(i: IdealSet) -> list[IdealSet]:
