@@ -1,20 +1,22 @@
 """Finite commutative rings, ideal-based zero-divisor graphs, and genus.
 
-errors, rings, ideals, catalog and graphs load with the package.  genus
-(bounds and the rotation-system search) and classify (the classification
-facts) are registered in sys.modules, and as attributes here, as lazy
-modules: each is compiled and run on its first attribute access, so a
-caller that only builds rings, ideals and graphs never pays for them.
-Their public names are still served from the package, as in
-`from zdgenus import exact_genus`.
+errors, rings, ideals and catalog load with the package.  graphs (the
+graph constructions and invariants), genus (bounds and the
+rotation-system search) and classify (the classification facts) are
+registered in sys.modules, and as attributes here, as lazy modules: each
+is compiled and run on its first attribute access, so a caller that only
+builds rings and ideals never pays for them, and one that builds graphs
+pays for graphs alone.  Their public names are still served from the
+package, as in `from zdgenus import exact_genus`.
 
 Every one-shot CLI call pays the import, so it loads little of the
 standard library.  Record types are written without dataclasses, which
 would load inspect and generate each class's methods from source: a value
 type, one that compares and hashes by its fields (RingSpec, GenusBounds,
 ...), is a typing.NamedTuple; an identity type (RingTable, IdealSet,
-SimpleGraph, ...) is a plain class with an explicit __init__.  json, csv
-and ast are imported inside the functions that use them.
+SimpleGraph, ...) is a plain class with an explicit __init__.  json and
+csv are imported inside the functions that use them, and relation strings
+are parsed by rings' own recursive descent, without ast.
 """
 
 import importlib.util
@@ -29,28 +31,6 @@ from .errors import (
     NotRadical,
     WholeRingIdeal,
     ZdgenusError,
-)
-from .graphs import (
-    SimpleGraph,
-    canonical_certificate,
-    clique_number,
-    complete_bipartite,
-    complete_graph,
-    complete_multipartite,
-    diameter,
-    expand,
-    export_dot,
-    export_json,
-    find_biclique,
-    find_complete_subgraph,
-    girth,
-    graph_iso,
-    ideal_zero_divisor_graph,
-    induced_subgraph,
-    is_connected,
-    make_graph,
-    twin_quotient,
-    zero_divisor_graph,
 )
 from .ideals import (
     IdealSet,
@@ -95,10 +75,33 @@ def _lazy_submodule(name: str):
     return module
 
 
+graphs = _lazy_submodule("graphs")
 genus = _lazy_submodule("genus")
 classify = _lazy_submodule("classify")
 
 _LAZY_NAMES = {
+    **dict.fromkeys((
+        "SimpleGraph",
+        "canonical_certificate",
+        "clique_number",
+        "complete_bipartite",
+        "complete_graph",
+        "complete_multipartite",
+        "diameter",
+        "expand",
+        "export_dot",
+        "export_json",
+        "find_biclique",
+        "find_complete_subgraph",
+        "girth",
+        "graph_iso",
+        "ideal_zero_divisor_graph",
+        "induced_subgraph",
+        "is_connected",
+        "make_graph",
+        "twin_quotient",
+        "zero_divisor_graph",
+    ), "graphs"),
     **dict.fromkeys((
         "EmbeddingCertificate",
         "GenusBounds",
@@ -131,7 +134,8 @@ _LAZY_NAMES = {
 
 
 def __getattr__(name: str):
-    """Serve a public name of genus or classify, loading that module."""
+    """Serve a public name of graphs, genus or classify, loading that
+    module."""
     if name in _LAZY_NAMES:
         return getattr(globals()[_LAZY_NAMES[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

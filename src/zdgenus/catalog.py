@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .ideals import IdealSet, enumerate_ideals
-from .rings import (RingSpec, RingTable, build_ring, gf, is_prime_integer,
+from .rings import (RingSpec, RingTable, _shared_table, gf, is_prime_integer,
                     product, quotient_algebra, zmod)
 
 
@@ -235,7 +235,7 @@ def find_catalog(name: str) -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def catalog_ring(name: str) -> RingTable:
-    return build_ring(find_catalog(name).spec)
+    return _shared_table(find_catalog(name).spec)
 
 
 def catalog_pairs(max_order: int) -> Iterator[tuple[str, RingTable, IdealSet]]:

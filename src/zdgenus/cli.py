@@ -8,15 +8,16 @@ bounds the genus search and exists only on genus, verify and atlas.  Exit
 codes: 0 success, 1 verification failure, 2 usage or input error, 3 an
 open answer (genus without an upper bound, or verify inconclusive).
 
-Importing this module loads rings, ideals, catalog and graphs.  genus and
+Importing this module loads rings, ideals and catalog.  graphs, genus and
 classify are lazy modules of the package (see zdgenus/__init__.py), looked
-up only inside the commands that use them: ring, ideals and graph load
-neither, genus and atlas load genus, and verify loads classify, which
-loads genus.  No module uses dataclasses, and json, csv and ast are
-imported inside the functions that use them: json for --format json and
-for certificate and spec files, csv for the atlas, ast for the relations
-of a quotient algebra.  So a table-format call without --output loads
-neither json nor csv.
+up only inside the commands that use them: ring and ideals load none of
+them, graph loads graphs, genus and atlas load graphs and genus, and
+verify loads classify, which loads both.  ideal_zero_divisor_graph is
+served as an attribute of this module too, looked up in graphs.  No
+module uses dataclasses, and json and csv are imported inside the
+functions that use them: json for --format json and for certificate and
+spec files, csv for the atlas.  So a table-format call without --output
+loads neither.
 """
 
 from __future__ import annotations
@@ -29,15 +30,9 @@ import time
 from math import inf
 from pathlib import Path
 
-from . import classify, genus
+from . import classify, genus, graphs
 from .catalog import catalog_pairs, catalog_ring, find_catalog
 from .errors import InvalidSpec, ZdgenusError
-from .graphs import (
-    export_dot,
-    export_json,
-    ideal_zero_divisor_graph,
-    invariants,
-)
 from .ideals import (
     IdealSet,
     enumerate_ideals,
@@ -56,6 +51,15 @@ from .rings import (
 )
 
 MIN_BUDGET = 10**4
+
+
+def __getattr__(name: str):
+    """Serve ideal_zero_divisor_graph from graphs, looked up at each access
+    so that a wrapper installed there is the one returned."""
+    if name == "ideal_zero_divisor_graph":
+        return graphs.ideal_zero_divisor_graph
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _GF_ALIAS = re.compile(r"GF\((\d+)\)", re.IGNORECASE)
 # product split points: an ASCII x between a factor tail and a factor head
@@ -219,13 +223,13 @@ def cmd_ideals(args) -> int:
 
 
 def _graph_summary(g) -> dict:
-    return {"vertices": g.n, "edges": g.m, **invariants(g)}
+    return {"vertices": g.n, "edges": g.m, **graphs.invariants(g)}
 
 
 def cmd_graph(args) -> int:
     table = resolve_ring(args.ring)
     ideal = resolve_ideal(table, args.ideal)
-    g = ideal_zero_divisor_graph(table, ideal)
+    g = graphs.ideal_zero_divisor_graph(table, ideal)
     if g.n == 0:  # for a proper ideal, exactly when it is prime
         print(f"warning: {ideal.describe()} is prime; the graph is empty",
               file=sys.stderr)
@@ -233,7 +237,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         head = "// " + " ".join(
             f"{k}={_fmt(v)}" for k, v in summary.items())
-        payload = head + "\n" + export_dot(g)
+        payload = head + "\n" + graphs.export_dot(g)
     elif args.format == "json":
         import json
 
@@ -242,7 +246,7 @@ def cmd_graph(args) -> int:
             "ideal": ideal.describe(),
             "invariants": {k: (None if v == inf else v)
                            for k, v in summary.items()},
-            "graph": json.loads(export_json(g)),
+            "graph": json.loads(graphs.export_json(g)),
         }, ensure_ascii=False, indent=2) + "\n"
     else:
         payload = (
@@ -256,7 +260,7 @@ def cmd_graph(args) -> int:
 def cmd_genus(args) -> int:
     table = resolve_ring(args.ring)
     ideal = resolve_ideal(table, args.ideal)
-    g = ideal_zero_divisor_graph(table, ideal)
+    g = graphs.ideal_zero_divisor_graph(table, ideal)
     bounds = genus.exact_genus(g, args.budget)
     record = {
         "ring": table.name,
@@ -353,9 +357,10 @@ def atlas_rows(max_order: int, budget: int) -> list[dict]:
     rows = []
     by_adj: dict[tuple[int, ...], tuple] = {}
     for name, table, ideal in catalog_pairs(max_order):
-        g = ideal_zero_divisor_graph(table, ideal)
+        g = graphs.ideal_zero_divisor_graph(table, ideal)
         if g.adj not in by_adj:
-            by_adj[g.adj] = (genus.exact_genus(g, budget), invariants(g))
+            by_adj[g.adj] = (genus.exact_genus(g, budget),
+                             graphs.invariants(g))
         bounds, inv = by_adj[g.adj]
         rows.append({
             "ring": name,

@@ -13,8 +13,8 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import InvalidSpec, MTooLarge, TooLarge, WholeRingIdeal
-from .rings import RingTable
-from .ideals import IdealSet
+from .ideals import IdealSet, _in_ideal
+from .rings import RingTable, _elements
 
 
 # === Core structure =========================================================
@@ -149,34 +149,29 @@ def ideal_zero_divisor_graph(t: RingTable, i: IdealSet) -> SimpleGraph:
     sorted by (least element of their coset, element index).
 
     Each element's partners are read off its multiplication row in one
-    pass: the row, as bytes, goes through a translation table that maps an
+    pass: the bytes row goes through a translation table that maps an
     element to b"1" when it lies in I and to b"0" otherwise, and read
     backwards that is the partner mask in binary.  x is a vertex when its
-    mask has a bit outside I (x² in I counts), and its row in the graph is
-    that mask without x, renumbered to vertex positions.  Element indices
-    must fit in a byte, as they do up to MAX_ORDER."""
+    mask has a bit outside I (x² in I counts).  Every partner of a vertex
+    is a vertex, so its row in the graph is those flags picked at the
+    vertices, in vertex order, without x itself."""
     if i.is_whole():
         raise WholeRingIdeal("the whole ring leaves no outside elements")
     mask = i.mask
     members = i.members()
-    in_ideal = f"{mask:0256b}"[::-1].encode()
+    in_ideal = _in_ideal(mask)
     outside = (1 << t.order) - 1 & ~mask
-    partners = {}
-    for x in _bits(outside):
-        found = int(bytes(t.mul[x]).translate(in_ideal)[::-1], 2) & outside
-        if found:
-            partners[x] = found & ~(1 << x)
-    verts = sorted(partners, key=lambda x: (
+    flags = {}
+    for x in _elements(outside):
+        row_flags = t.mul[x].translate(in_ideal)
+        if int(row_flags[::-1], 2) & outside:
+            flags[x] = row_flags
+    verts = sorted(flags, key=lambda x: (
         min(map(t.add[x].__getitem__, members)), x))
-    pos = {x: k for k, x in enumerate(verts)}
-    adj = []
-    for x in verts:
-        row = 0
-        for y in _bits(partners[x]):
-            row |= 1 << pos[y]
-        adj.append(row)
-    return SimpleGraph(len(verts), tuple(adj),
-                       tuple(t.labels[x] for x in verts))
+    adj = tuple(
+        int(bytes(map(flags[x].__getitem__, verts))[::-1], 2) & ~(1 << k)
+        for k, x in enumerate(verts))
+    return SimpleGraph(len(verts), adj, tuple(t.labels[x] for x in verts))
 
 
 def expand(g: SimpleGraph, t: int) -> SimpleGraph:

@@ -6,13 +6,17 @@ indices.  In a commutative ring with 1 the principal ideal Ra is the column
 one-step sumset {i + j}; neither needs a closure.  Every ideal is the sum of
 the principal ideals of its elements, so enumeration adds each principal
 ideal to every sum found so far, in one pass.  All decision procedures are
-exhaustive; orders are <= 64.
+exhaustive; orders are <= 64.  A membership test over a whole table row
+translates the bytes row through a 0/1 table of the ideal and reads the
+result backwards as a binary mask.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import NotRadical, WholeRingIdeal, ZdgenusError
-from .rings import RingTable
+from .rings import _IDENTITY, RingTable, _elements, _pad
 
 
 # === IdealSet ===============================================================
@@ -30,7 +34,7 @@ class IdealSet:
         return self.mask.bit_count()
 
     def members(self) -> list[int]:
-        return _members(self.ring, self.mask)
+        return _elements(self.mask)
 
     def contains(self, a: int) -> bool:
         return bool(self.mask >> a & 1)
@@ -76,19 +80,42 @@ class IdealSet:
         return f"IdealSet({self.ring.name}, size={self.size})"
 
 
-def _members(t: RingTable, mask: int) -> list[int]:
-    return [i for i in range(t.order) if mask >> i & 1]
+def _in_ideal(mask: int) -> bytes:
+    """The translate table that maps an element in mask to b"1" and any
+    other to b"0"."""
+    return f"{mask:0256b}"[::-1].encode()
+
+
+def _hits(row: bytes, in_ideal: bytes) -> int:
+    """The mask of the positions of row whose entries lie in the ideal:
+    the translated row, read backwards, in binary."""
+    return int(row.translate(in_ideal)[::-1], 2)
 
 
 def _ideal_sum(t: RingTable, a: int, b: int) -> int:
-    """Mask of I + J = {i + j}, which is already an ideal."""
-    js = _members(t, b)
+    """Mask of I + J = {i + j}, which is already an ideal: the union of
+    the cosets i + J over i in I.  The coset i + J is the positions z of
+    the row of -i with -i + z in J, and an i already in the union has its
+    coset there."""
+    A, zero, in_b = t.add, t.zero, _in_ideal(b)
     out = 0
-    for i in _members(t, a):
-        row = t.add[i]
-        for j in js:
-            out |= 1 << row[j]
+    for i in _elements(a):
+        if not out >> i & 1:
+            out |= _hits(A[A[i].index(zero)], in_b)
     return out
+
+
+# b"1" for the byte 255, b"0" for any other byte
+_MARKED = b"0" * 255 + b"1"
+
+
+def _value_mask(values: bytes, n: int) -> int:
+    """The mask of the elements among values, in a ring of order n: every
+    element goes through a table that sends each of values to 255, which
+    no element is, and the marks read backwards are the mask in binary."""
+    marks = _IDENTITY[:n].translate(
+        bytes.maketrans(values, b"\xff" * len(values)))
+    return int(marks.translate(_MARKED)[::-1], 2)
 
 
 def validate_ideal(i: IdealSet) -> bool:
@@ -109,16 +136,18 @@ def validate_ideal(i: IdealSet) -> bool:
 
 def cyclic_ideal(t: RingTable, a: int) -> IdealSet:
     """The principal ideal Ra: column a of the multiplication table."""
-    mask = 0
-    for row in t.mul:
-        mask |= 1 << row[a]
-    return IdealSet(t, mask)
+    return IdealSet(t, _value_mask(bytes(map(itemgetter(a), t.mul)),
+                                   t.order))
 
 
 def enumerate_ideals(t: RingTable) -> list[IdealSet]:
-    """All ideals, sorted by (size, member tuple); includes {0} and R."""
+    """All ideals, sorted by (size, member tuple); includes {0} and R.
+    Equal columns of mul give one principal ideal, so each distinct
+    column is read once."""
+    flat, n = b"".join(t.mul), t.order
     sums = {1 << t.zero}
-    for p in {cyclic_ideal(t, a).mask for a in range(t.order)}:
+    for p in {_value_mask(column, n) for column in
+              {flat[a::n] for a in range(n)}}:
         sums |= {_ideal_sum(t, s, p) for s in sums if s & p != p}
     ideals = [IdealSet(t, m) for m in sums]
     ideals.sort(key=lambda i: (i.size, tuple(i.members())))
@@ -169,13 +198,13 @@ def quotient(t: RingTable, i: IdealSet) -> QuotientRing:
         reps.append(e)
         for m in members:
             proj[t.add[e][m]] = c
-    order = len(reps)
-    add, mul = (
-        tuple(tuple(proj[op[ra][rb]] for rb in reps) for ra in reps)
-        for op in (t.add, t.mul))
+    # a proper ideal leaves at least two cosets, so pick returns a tuple
+    pick, to_coset = itemgetter(*reps), _pad(bytes(proj))
+    add, mul = (tuple(bytes(pick(op[r])).translate(to_coset) for r in reps)
+                for op in (t.add, t.mul))
     labels = tuple(t.labels[r] for r in reps)
     qt = RingTable(
-        order=order,
+        order=len(reps),
         add=add,
         mul=mul,
         zero=proj[t.zero],
@@ -194,14 +223,9 @@ def is_prime(i: IdealSet) -> bool:
     t = i.ring
     if i.is_whole():
         return False
-    mask = i.mask
-    outside = [x for x in range(t.order) if not mask >> x & 1]
-    for a in outside:
-        row = t.mul[a]
-        for b in outside:
-            if mask >> row[b] & 1:
-                return False
-    return True
+    outside, in_i = (1 << t.order) - 1 & ~i.mask, _in_ideal(i.mask)
+    return not any(_hits(t.mul[a], in_i) & outside
+                   for a in _elements(outside))
 
 
 def is_radical(i: IdealSet) -> bool:
@@ -210,8 +234,8 @@ def is_radical(i: IdealSet) -> bool:
     k >= 2 least, then y = x^(k-1) lies outside I and y² = x^(2k-2),
     a multiple of x^k since 2k-2 >= k, lies inside."""
     t, mask = i.ring, i.mask
-    return not any(mask >> t.mul[x][x] & 1 for x in range(t.order)
-                   if not mask >> x & 1)
+    squares = b"".join(t.mul)[::t.order + 1]  # the diagonal
+    return not _hits(squares, _in_ideal(mask)) & ~mask
 
 
 def minimal_primes_over(i: IdealSet) -> list[IdealSet]:

@@ -14,18 +14,23 @@ validation, a presentation check (n*1 = 0, every relation holds at the
 variables' images, and those images generate the table, which together
 make the table the presented ring), and an expected-order check.
 
-Supported orders are small (hard cap 64), so tables are plain tuples of
-Python ints and every check is complete.
+Supported orders are small (hard cap 64), so every element index fits in
+a byte and every check is complete.  A table row is a bytes object, and
+the kernels that build and check tables work on whole rows at C level:
+a row translated through another row (padded to 256 bytes) composes the
+two maps, slicing rotates a cyclic row, and join concatenates the blocks
+of a product.  The catalog rings and the factors of products are built
+and validated once per process for each distinct spec.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import reprlib
 import weakref
 from array import array
 from math import gcd, isqrt, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvalidSpec, NonConfluentPresentation
@@ -33,6 +38,36 @@ from .errors import InvalidSpec, NonConfluentPresentation
 MAX_ORDER = 64
 # a relation such as (x+y+2)^300 would otherwise expand for minutes
 MAX_TERM_PAIRS = 2**20
+# a longer relation string, or one nested deeper, is refused unparsed
+MAX_RELATION_LENGTH = 10_000
+MAX_NESTING = 100
+
+# byte v at index v: sliced, the identity row of Z_n and a translate table
+_IDENTITY = bytes(range(256))
+# maps the digits b"0" and b"1" to the bytes 0 and 1
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _elements(mask: int) -> list[int]:
+    """The set bits of a mask of elements, least first: its binary digits,
+    reversed, select positions at C level, in time that does not grow
+    with the number of set bits, since such masks are often dense."""
+    return list(itertools.compress(
+        itertools.count(), bin(mask)[:1:-1].encode().translate(_BINARY)))
+
+
+def _byte_rows(rows) -> tuple[bytes, ...]:
+    """rows as a tuple of bytes rows, converting rows of ints."""
+    try:
+        return tuple(r if type(r) is bytes else bytes(r) for r in rows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(
+            f"table entries must be ints in range(256): {exc}") from exc
+
+
+def _pad(row: bytes) -> bytes:
+    """row as a translate table; entries past the row are never read."""
+    return row.ljust(256)
 
 
 # === Specs ==================================================================
@@ -158,18 +193,18 @@ def quotient_algebra(
 class RingTable:
     """A finite commutative ring as explicit index tables.
 
-    ``add`` and ``mul`` are tuples of rows of Python ints over element
-    indices: ``add[a][b]`` is the index of a + b.  Tuples make a built table
-    immutable.  Tables compare and hash by identity, and the fingerprint
-    memo holds them by weak reference."""
+    ``add`` and ``mul`` are tuples of bytes rows over element indices:
+    ``add[a][b]`` is the index of a + b, an int.  Rows of ints are
+    converted, so there is one representation, and bytes make a built
+    table immutable.  Tables compare and hash by identity, and the
+    fingerprint memo holds them by weak reference."""
 
-    def __init__(self, order: int, add: tuple[tuple[int, ...], ...],
-                 mul: tuple[tuple[int, ...], ...], zero: int, one: int,
+    def __init__(self, order: int, add, mul, zero: int, one: int,
                  labels: tuple[str, ...], name: str = "",
                  spec: RingSpec | None = None):
         self.order = order
-        self.add = add
-        self.mul = mul
+        self.add = _byte_rows(add)
+        self.mul = _byte_rows(mul)
         self.zero = zero
         self.one = one
         self.labels = labels
@@ -219,62 +254,138 @@ class ValidationReport:
 # === Polynomial plumbing for quotient algebras ==============================
 
 
-def _parse_poly(text: str, variables: tuple[str, ...], n: int):
+# one token: an integer literal, a name, an operator, or any other
+# character; whitespace between tokens is skipped
+_TOKEN = re.compile(r"(\d\w*)|([^\W\d]\w*)|(\*\*|[-+*()])|(\S)")
+_INTEGER = re.compile(r"0(?:_?0)*|[1-9](?:_?[0-9])*")
+
+# every relation side is parsed once per process: a quotient's build and
+# its presentation check read the same strings, as do repeated builds
+_PARSED: dict[tuple[str, tuple[str, ...], int], dict] = {}
+
+
+def _parse_poly(text: str, variables: tuple[str, ...], n: int) -> dict:
     """Parse an expression string to {exponent tuple: coefficient mod n}.
 
-    The grammar is Python expression syntax with ``^`` also meaning ``**``:
-    integer constants, the declared variables, parentheses, unary + and -,
-    binary +, - and *, and powers with a literal non-negative integer
-    exponent.  The string is parsed, never evaluated.
+    The grammar is that of Python expressions with ``^`` also meaning
+    ``**``, restricted to decimal integer literals, the declared variables,
+    parentheses, unary + and -, binary +, - and *, and powers whose
+    exponent is an integer literal, maybe in parentheses.  Precedence is
+    Python's: ``-x^2`` is -(x^2), and ``x^-1`` and ``x^2^3`` are refused.
+    The string is parsed by recursive descent, never evaluated; one longer
+    than MAX_RELATION_LENGTH or nested deeper than MAX_NESTING is refused.
     """
-    import ast
-
     if not isinstance(text, str):
         raise InvalidSpec(f"relation sides must be strings, got {text!r}")
-    index = {v: i for i, v in enumerate(variables)}
-    const = (0,) * len(variables)
+    key = (text, tuple(variables), n)
+    if key not in _PARSED:
+        _PARSED[key] = _Parser(*key).poly
+    return dict(_PARSED[key])
 
-    def term(exps: tuple[int, ...], c: int) -> dict:
-        return {exps: c % n} if c % n else {}
 
-    def walk(node) -> dict:
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return term(const, node.value)
-        if isinstance(node, ast.Name) and node.id in index:
-            return term(tuple(int(i == index[node.id])
-                              for i in range(len(const))), 1)
-        if isinstance(node, ast.UnaryOp) and \
-                isinstance(node.op, (ast.UAdd, ast.USub)):
-            sign = -1 if isinstance(node.op, ast.USub) else 1
-            return _poly_add({}, walk(node.operand), n, sign)
-        if isinstance(node, ast.BinOp) and \
-                isinstance(node.op, (ast.Add, ast.Sub)):
-            sign = -1 if isinstance(node.op, ast.Sub) else 1
-            return _poly_add(walk(node.left), walk(node.right), n, sign)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            return _poly_mul(walk(node.left), walk(node.right), n)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and \
-                isinstance(node.right, ast.Constant) and \
-                type(node.right.value) is int and node.right.value >= 0:
-            base, e, out = walk(node.left), node.right.value, term(const, 1)
-            while e:  # square and multiply
-                if e & 1:
-                    out = _poly_mul(out, base, n)
-                e >>= 1
-                base = _poly_mul(base, base, n) if e else base
-            return out
-        what = (f"symbol {node.id!r}" if isinstance(node, ast.Name)
-                else type(node).__name__)
-        raise InvalidSpec(f"undeclared or unsupported {what} in polynomial "
-                          f"{reprlib.repr(text)}")
+class _Parser:
+    """One recursive-descent parse of a relation side.  Each rule returns
+    the polynomial it read and, when that was a bare integer literal, its
+    value, which is what a power's exponent has to be."""
 
-    try:
-        return walk(ast.parse(text.replace("^", "**"), mode="eval").body)
-    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        # the parser signals over-deep input with RecursionError or
-        # MemoryError
-        raise InvalidSpec(f"cannot parse polynomial {reprlib.repr(text)}: "
-                          f"{type(exc).__name__}: {exc}") from exc
+    def __init__(self, text: str, variables: tuple[str, ...], n: int):
+        self.text, self.n = text, n
+        if len(text) > MAX_RELATION_LENGTH:
+            raise self.error(f"longer than {MAX_RELATION_LENGTH} characters")
+        self.const = (0,) * len(variables)
+        unit = {v: tuple(int(i == k) for i in range(len(variables)))
+                for k, v in enumerate(variables)}
+        self.tokens = []
+        for number, name, op, other in _TOKEN.findall(
+                text.replace("^", "**")):
+            if number:
+                if not _INTEGER.fullmatch(number):
+                    raise self.error(f"bad integer literal {number!r}")
+                self.tokens.append(("int", int(number)))
+            elif name:
+                if name not in unit:
+                    raise InvalidSpec(f"undeclared symbol {name!r} in "
+                                      f"polynomial {reprlib.repr(text)}")
+                self.tokens.append(("var", unit[name]))
+            else:
+                if other:
+                    raise self.error(f"unsupported character {other!r}")
+                self.tokens.append((op, None))
+        self.tokens.append(("end", None))
+        self.pos = 0
+        self.poly, _ = self.sum(0)
+        if self.peek() != "end":
+            raise self.error(f"unexpected {self.peek()!r}")
+
+    def error(self, why: str) -> InvalidSpec:
+        return InvalidSpec(
+            f"cannot parse polynomial {reprlib.repr(self.text)}: {why}")
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def take(self) -> tuple:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def sum(self, depth: int):  # product (('+' | '-') product)*
+        poly, literal = self.product(depth)
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.take()[0] == "+" else -1
+            poly = _poly_add(poly, self.product(depth)[0], self.n, sign)
+            literal = None
+        return poly, literal
+
+    def product(self, depth: int):  # signed ('*' signed)*
+        poly, literal = self.signed(depth)
+        while self.peek() == "*":
+            self.take()
+            poly = _poly_mul(poly, self.signed(depth)[0], self.n)
+            literal = None
+        return poly, literal
+
+    def signed(self, depth: int):  # ('+' | '-')* power
+        sign = 0
+        while self.peek() in ("+", "-"):
+            sign = (sign or 1) * (1 if self.take()[0] == "+" else -1)
+        poly, literal = self.power(depth)
+        if sign:
+            return _poly_add({}, poly, self.n, sign), None
+        return poly, literal
+
+    def power(self, depth: int):  # atom ['**' signed]
+        base, literal = self.atom(depth)
+        if self.peek() != "**":
+            return base, literal
+        self.take()
+        if depth >= MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING}")
+        _, e = self.signed(depth + 1)
+        if e is None:
+            raise self.error("an exponent must be an integer literal")
+        out = {self.const: 1}
+        while e:  # square and multiply
+            if e & 1:
+                out = _poly_mul(out, base, self.n)
+            e >>= 1
+            base = _poly_mul(base, base, self.n) if e else base
+        return out, None
+
+    def atom(self, depth: int):  # integer | variable | '(' sum ')'
+        kind, value = self.take()
+        if kind == "int":
+            return ({self.const: value % self.n} if value % self.n else {},
+                    value)
+        if kind == "var":
+            return {value: 1}, None
+        if kind != "(":
+            raise self.error(f"unexpected {kind!r}")
+        if depth >= MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING}")
+        inner = self.sum(depth + 1)
+        if self.take()[0] != ")":
+            raise self.error("unbalanced parentheses")
+        return inner
 
 
 def _deglex_key(exps: tuple[int, ...]):
@@ -460,45 +571,54 @@ def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
     An element is its coefficient vector on the basis monomials, read as
     mixed-radix digits with the first monomial least significant.  Sums
     are digit-wise, and products are bilinear in the normal forms of the
-    |basis|^2 products of basis monomials; nothing else is rewritten."""
+    |basis|^2 products of basis monomials; nothing else is rewritten.
+
+    Rows are built a digit at a time, least significant first: the row of
+    a over e, for e below the weight of digit k, is d_k blocks, the row so
+    far shifted by 0, x, 2x, ... for x = a·b_k.  Labels are built the same
+    way."""
     eng = _QuotientEngine(spec)
     basis = eng.basis()
     moduli = [eng.modulus(m) for m in basis]
     order = prod(moduli)
     if order > MAX_ORDER:
         raise InvalidSpec(f"ring order {order} exceeds maximum {MAX_ORDER}")
-    weights = [prod(moduli[:i]) for i in range(len(basis))]
+    weights = dict(zip(basis, itertools.accumulate([1, *moduli[:-1]],
+                                                   lambda w, d: w * d)))
 
     def encode(poly: dict) -> int:
         # a normal form is irreducible with every coefficient nonzero mod
         # its monomial's modulus, and every such monomial is in the basis,
         # since its divisors are irreducible with a modulus at least its own
-        return sum(c * weights[basis.index(m)] for m, c in poly.items())
+        return sum(c * weights[m] for m, c in poly.items())
 
-    add = ((0,),)  # Z_d for each digit, the first least significant
+    add = (b"\0",)  # Z_d for each digit, the first least significant
     for d in reversed(moduli):
-        add = _product_rows(add, _build_zmod(d, "", None).add)
-    digits = [[e // w % d for w, d in zip(weights, moduli)]
-              for e in range(order)]
-    # for e > 0, e is rest[e] plus the basis monomial at its least nonzero
-    # digit, low[e], and rest[e] < e
-    low = [next((k for k, c in enumerate(ds) if c), 0) for ds in digits]
-    rest = [e - weights[k] for e, k in enumerate(low)]
-    mul = [[0] * order]
-    for a in range(1, order):
-        k = low[a]
-        if a == weights[k]:  # b_k e = b_k rest[e] + b_k b_low[e]
-            prods = [encode(eng.normal_form({_mono_mul(basis[k], m): 1}))
-                     for m in basis]
-            row = [0] * order
-            for e in range(1, order):
-                row[e] = add[row[rest[e]]][prods[low[e]]]
-        else:  # a e = rest[a] e + b_k e
-            row = [add[x][y] for x, y in zip(mul[rest[a]], mul[weights[k]])]
-        mul.append(row)
-    labels = tuple(
-        _poly_label({m: c for m, c in zip(basis, ds) if c}, spec.variables)
-        for ds in digits)
+        add = _product_rows(add, _cyclic_rows(d))
+    shift = [_pad(row) for row in add]  # shift[x] maps y to x + y
+
+    def spread(steps) -> bytes:
+        """The row over e of the sum of digit_k(e)·steps[k]."""
+        row = b"\0"
+        for x, d in zip(steps, moduli):
+            blocks, c = [row], x
+            for _ in range(d - 1):
+                blocks.append(row.translate(shift[c]))
+                c = add[c][x]
+            row = b"".join(blocks)
+        return row
+
+    basis_rows = [
+        spread([encode(eng.normal_form({_mono_mul(m, m2): 1}))
+                for m2 in basis])
+        for m in basis]
+    # a·b_k = b_k·a, read off the basis rows
+    mul = tuple(spread(column) for column in zip(*basis_rows))
+    labels = [""]
+    for m, d in zip(basis, moduli):
+        terms = [_poly_label({m: c}, spec.variables) for c in range(1, d)]
+        labels += [f"{term} + {low}" if low else term
+                   for term in terms for low in labels]
     one = encode(eng.normal_form({(0,) * eng.nv: 1}))
     degree_one = [tuple(int(i == j) for j in range(eng.nv))
                   for i in range(eng.nv)]
@@ -506,10 +626,10 @@ def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
     return RingTable(
         order=order,
         add=add,
-        mul=tuple(map(tuple, mul)),
+        mul=mul,
         zero=0,
         one=one,
-        labels=labels,
+        labels=("0", *labels[1:]),
         name=spec.name,
         spec=spec,
     ), images
@@ -524,7 +644,8 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
     the variables' images, and the images generate t, then sending each
     variable to its image maps the presented ring R onto t.  The normal
     forms are sound rewrites in R, so |R| <= |t|, and the map is an
-    isomorphism."""
+    isomorphism.  Relations come from the parse the rewrite rules were
+    built from, and t is a validated table, so it is commutative."""
 
     def evaluate(poly: dict) -> int:
         total = t.zero
@@ -545,9 +666,43 @@ def _check_presentation(t: RingTable, spec: RingSpec, images: list[int]):
             raise NonConfluentPresentation(
                 f"{spec.name}: relation {rule.lhs} = {rule.rhs} fails in "
                 "the built table; its rewrite rules disagree")
-    if len(_span(t, images)) != t.order:
+    if _generated(t, images) != (1 << t.order) - 1:
         raise NonConfluentPresentation(
             f"{spec.name}: the variables do not generate the built table")
+
+
+def _reach(op, todo: list[int], gens: list[int], reached: int = 0) -> int:
+    """reached, as a bitmask, joined with every element reached from todo
+    by the moves y -> op[y][g], g in gens."""
+    while todo:
+        y = todo.pop()
+        if not reached >> y & 1:
+            reached |= 1 << y
+            todo.extend(map(op[y].__getitem__, gens))
+    return reached
+
+
+def _additive_span(t: RingTable, elements, gens: list[int],
+                   reached: int = 0) -> int:
+    """Grow gens greedily by the elements, in order, that the sums of one
+    or more of gens (reached, as a bitmask) do not yet reach; return the
+    sums of the grown gens.  A new generator g extends reached by g and
+    by y + g for each y reached, then by every move from those."""
+    A = t.add
+    for g in elements:
+        if not reached >> g & 1:
+            gens.append(g)
+            reached = _reach(A, [g, *(A[y][g] for y in _elements(reached))],
+                             gens, reached)
+    return reached
+
+
+def _generated(t: RingTable, seeds) -> int:
+    """Bitmask of the subring generated by 0, 1 and the seeds: the
+    additive span of the products of seeds, 1 the empty product, which is
+    closed under · since a product of such sums is a sum of products."""
+    monomials = _reach(t.mul, [t.one], list(seeds))
+    return _additive_span(t, _elements(monomials), [], 1 << t.zero)
 
 
 # === Ring construction ======================================================
@@ -560,29 +715,39 @@ _GF_RELATIONS = {
 }
 
 
+def _cyclic_rows(n: int) -> tuple[bytes, ...]:
+    """The addition rows of Z_n: row a is 0..n-1 rotated left by a."""
+    idx = _IDENTITY[:n]
+    return tuple(idx[a:] + idx[:a] for a in range(n))
+
+
 def _build_zmod(n: int, name: str, spec: RingSpec) -> RingTable:
     if n > MAX_ORDER:
         raise InvalidSpec(f"ring order {n} exceeds maximum {MAX_ORDER}")
-    idx = tuple(range(n))
+    idx = _IDENTITY[:n]
     return RingTable(
         order=n,
-        add=tuple(idx[a:] + idx[:a] for a in idx),
-        mul=tuple(tuple(a * b % n for b in idx) for a in idx),
+        add=_cyclic_rows(n),
+        # a·b mod n over b: every a-th entry of a copies of 0..n-1
+        mul=(bytes(n), *((idx * a)[::a] for a in range(1, n))),
         zero=0,
         one=1 % n,
-        labels=tuple(str(i) for i in range(n)),
+        labels=tuple(map(str, range(n))),
         name=name,
         spec=spec,
     )
 
 
-def _product_rows(a, b):
+def _product_rows(a, b) -> tuple[bytes, ...]:
     """The operation on pairs (x, y), indexed x * len(b) + y, that acts as
-    a on the first coordinate and as b on the second."""
+    a on the first coordinate and as b on the second.  Row (x, y) is the
+    blocks of row y of b shifted by p·len(b), one for each entry p of row
+    x of a."""
     m = len(b)
-    return tuple(
-        tuple(p + q for p in [v * m for v in ra] for q in rb)
-        for ra in a for rb in b)
+    shifts = [_IDENTITY[k:] + bytes(k) for k in range(0, len(a) * m, m)]
+    blocks = [[rb.translate(s) for s in shifts] for rb in b]
+    return tuple(b"".join(map(row_blocks.__getitem__, ra))
+                 for ra in a for row_blocks in blocks)
 
 
 def product_tables(*tables: RingTable, name: str = "") -> RingTable:
@@ -598,10 +763,8 @@ def product_tables(*tables: RingTable, name: str = "") -> RingTable:
     for t in tables[1:]:
         add, mul = _product_rows(add, t.add), _product_rows(mul, t.mul)
     labels = tuple(
-        "(" + ", ".join(t.labels[e // stride % t.order]
-                        for t, stride in zip(tables, strides)) + ")"
-        for e in range(order)
-    )
+        "(" + ", ".join(parts) + ")"
+        for parts in itertools.product(*(t.labels for t in tables)))
     return RingTable(
         order=order,
         add=add,
@@ -639,7 +802,7 @@ def build_ring(spec: RingSpec) -> RingTable:
             table.spec = spec
             presented = inner, images
     elif spec.kind == "product":
-        table = product_tables(*(build_ring(f) for f in spec.factors),
+        table = product_tables(*map(_shared_table, spec.factors),
                                name=spec.name)
         table.spec = spec
     elif spec.kind == "quotient":
@@ -664,6 +827,21 @@ def build_ring(spec: RingSpec) -> RingTable:
     return table
 
 
+# shared tables by the repr of their spec, which tells 2 from 2.0 and True
+# and needs no hashable fields
+_SHARED_TABLES: dict[str, RingTable] = {}
+
+
+def _shared_table(spec: RingSpec) -> RingTable:
+    """build_ring(spec), built and validated once per process.  Catalog
+    rings and product factors are such tables: each catalog product's
+    factors are catalog specs, and the table is only ever read."""
+    key = repr(spec)
+    if key not in _SHARED_TABLES:
+        _SHARED_TABLES[key] = build_ring(spec)
+    return _SHARED_TABLES[key]
+
+
 # === Validation =============================================================
 
 
@@ -672,74 +850,82 @@ def _additive_generators(t: RingTable) -> list[int]:
     y -> y + s, s in S: greedily, the least element not yet reached, with
     zero tried last, since repeated addition usually reaches it."""
     gens: list[int] = []
-    reached = 0
-    for e in (*range(t.zero + 1, t.order), *range(t.zero + 1)):
-        if reached >> e & 1:
-            continue
-        gens.append(e)
-        reached, todo = 0, list(gens)
-        while todo:
-            y = todo.pop()
-            if not reached >> y & 1:
-                reached |= 1 << y
-                todo.extend(t.add[y][s] for s in gens)
+    _additive_span(t, (*range(t.zero + 1, t.order), *range(t.zero + 1)),
+                   gens)
     return gens
+
+
+def _first_difference(left, right) -> int:
+    return next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
 def validate_table(t: RingTable) -> ValidationReport:
     """Check all commutative-ring-with-1 axioms, in O(n^2 |S|).
 
-    Commutativity, the identities and inverses are read off the rows.  The
-    three-variable laws are checked for every a and b but only for c in the
-    additive generators S (Light's associativity test): the set of c for
-    which a law holds for all a and b is closed under +, for
-    +-associativity outright, for distributivity once + is associative, and
-    for ·-associativity once · distributes.  The laws are checked in that
+    Every entry must be an element index ("add-closed", "mul-closed"), or
+    the three-variable laws are not checked.  Commutativity, the
+    identities and inverses are read off the rows.  The three-variable
+    laws are checked for every a and b but only for c in the additive
+    generators S (Light's associativity test): the set of c for which a
+    law holds for all a and b is closed under +, for +-associativity
+    outright, for distributivity once + is associative, and for
+    ·-associativity once · distributes.  The laws are checked in that
     order, so the table passes only if every law holds everywhere.  Each
     witness is a real counterexample; a table that fails one law may have
-    a later law that also fails left unnamed."""
+    a later law that also fails left unnamed.
+
+    Each side of a law at c is the n^2 entries over (a, b), a major, built
+    by translating whole rows: x.translate(_pad(r)) is r[x[b]] over b."""
     report = ValidationReport()
     n, A, M = t.order, t.add, t.mul
+    identity = _IDENTITY[:n]
 
     if n < 2 or t.zero == t.one:
         report.violations.append(("zero-ne-one", (t.zero, t.one)))
-    for name, op in (("add-commutative", A), ("mul-commutative", M)):
-        for i, (row, col) in enumerate(zip(op, zip(*op))):
-            if tuple(row) != col:
-                j = next(j for j in range(n) if row[j] != col[j])
-                report.violations.append((name, (i, j)))
-                break
+    flat_a, flat_m = b"".join(A), b"".join(M)
+    closed = True
+    for name, flat in (("add-closed", flat_a), ("mul-closed", flat_m)):
+        if flat.translate(None, identity):  # deletes every element index
+            closed = False
+            k = next(k for k, v in enumerate(flat) if v >= n)
+            report.violations.append((name, divmod(k, n)))
+    # columns, so no witness leans on commutativity
+    At, Mt = ([flat[c::n] for c in range(n)] for flat in (flat_a, flat_m))
+    for name, op, cols in (("add-commutative", A, At),
+                           ("mul-commutative", M, Mt)):
+        if list(op) != cols:
+            i = _first_difference(op, cols)
+            report.violations.append((name, (i, _first_difference(
+                op[i], cols[i]))))
 
-    # columns, so no witness leans on commutativity.  Each side of a law at
-    # c is a list over a of rows over b; pick_a[a](v) is v[A[a][b]] over b.
-    At, Mt = tuple(zip(*A)), tuple(zip(*M))
-    pick_a, pick_m = [itemgetter(*r) for r in A], [itemgetter(*r) for r in M]
-    laws = (
-        ("add-associative",  # (a + b) + c = a + (b + c)
-         lambda c: [p(At[c]) for p in pick_a],
-         lambda c: list(map(itemgetter(*At[c]), A))),
-        ("distributive",  # a(b + c) = ab + ac
-         lambda c: list(map(itemgetter(*At[c]), M)),
-         lambda c: [p(At[M[a][c]]) for a, p in enumerate(pick_m)]),
-        ("mul-associative",  # (ab)c = a(bc)
-         lambda c: [p(Mt[c]) for p in pick_m],
-         lambda c: list(map(itemgetter(*Mt[c]), M))),
-    )
-    gens = _additive_generators(t)
-    for name, lhs, rhs in laws:
-        for c in gens:
-            left, right = lhs(c), rhs(c)
-            if left != right:
-                a = next(a for a in range(n) if left[a] != right[a])
-                b = next(b for b in range(n) if left[a][b] != right[a][b])
-                report.violations.append((name, (a, b, c)))
-                break
+    if closed:
+        PA, PM, PAt, PMt = (list(map(_pad, rows)) for rows in (A, M, At, Mt))
+        laws = (
+            ("add-associative",  # (a + b) + c = a + (b + c)
+             lambda c: flat_a.translate(PAt[c]),
+             lambda c: b"".join(map(At[c].translate, PA))),
+            ("distributive",  # a(b + c) = ab + ac
+             lambda c: b"".join(map(At[c].translate, PM)),
+             lambda c: b"".join(map(bytes.translate, M,
+                                    map(PAt.__getitem__, Mt[c])))),
+            ("mul-associative",  # (ab)c = a(bc)
+             lambda c: flat_m.translate(PMt[c]),
+             lambda c: b"".join(map(Mt[c].translate, PM))),
+        )
+        gens = _additive_generators(t)
+        for name, lhs, rhs in laws:
+            for c in gens:
+                left, right = lhs(c), rhs(c)
+                if left != right:
+                    a, b = divmod(_first_difference(left, right), n)
+                    report.violations.append((name, (a, b, c)))
+                    break
 
     for name, e, op in (("zero-identity", t.zero, A),
                         ("one-identity", t.one, M)):
-        bad = next((b for b in range(n) if op[e][b] != b), None)
-        if bad is not None:
-            report.violations.append((name, (e, bad)))
+        if op[e] != identity:
+            report.violations.append(
+                (name, (e, _first_difference(op[e], identity))))
     bad = next((a for a in range(n) if t.zero not in A[a]), None)
     if bad is not None:
         report.violations.append(("additive-inverse", (bad,)))

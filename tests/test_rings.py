@@ -219,14 +219,15 @@ def test_zero_divisors_match_definition():
 #
 # The reference below is the brute-force numpy check validate_table used
 # before it ran the three-variable laws over additive generators only.  It
-# is kept verbatim, but for reading tuple rows into arrays, so the reduced
+# is kept verbatim, but for reading bytes rows into arrays, so the reduced
 # check is tested against it and not against itself.
 
 
 def _ref_validate(t):
     report = ValidationReport()
     n = t.order
-    A, M = np.array(t.add, dtype=np.intp), np.array(t.mul, dtype=np.intp)
+    A, M = (np.array([list(r) for r in op], dtype=np.intp)
+            for op in (t.add, t.mul))
     idx = np.arange(n)
 
     def witness(mask3) -> tuple:
