@@ -2,11 +2,10 @@
 
 Subcommands: ring, ideals, graph, genus, verify, atlas.  Output on stdout is
 deterministic; --timing writes elapsed times to stderr only: one line per
-command, or one per classification fact for verify, and for verify and
-atlas a last line with the genus class cache's hits and misses.  --budget
-bounds the genus search and exists only on genus, verify and atlas.  Exit
-codes: 0 success, 1 verification failure, 2 usage or input error, 3 an
-open answer (genus without an upper bound, or verify inconclusive).
+command, or one per classification fact for verify.  --budget bounds the
+genus search and exists only on genus, verify and atlas.  Exit codes: 0
+success, 1 verification failure, 2 usage or input error, 3 an open answer
+(genus without an upper bound, or verify inconclusive).
 
 Importing this module loads rings, ideals and catalog.  graphs, genus and
 classify are lazy modules of the package (see zdgenus/__init__.py), looked
@@ -456,9 +455,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     t0 = time.monotonic()
-    count_cache = args.timing and args.command in ("verify", "atlas")
-    if count_cache:
-        cache_before = dict(genus.GENUS_CACHE_COUNTS)
     try:
         code = args.func(args)
     except BrokenPipeError:
@@ -468,10 +464,6 @@ def main(argv=None) -> int:
         return 2
     if args.timing and args.command != "verify":  # verify times each fact
         print(f"{args.command}: {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    if count_cache:
-        hits, misses = (genus.GENUS_CACHE_COUNTS[k] - cache_before[k]
-                        for k in ("hits", "misses"))
-        print(f"genus cache: {hits} hits, {misses} misses", file=sys.stderr)
     return code
 
 

@@ -9,25 +9,11 @@ three kinds of move: a vertex's first edge starts its rotation and extends
 the face it enters at the other end; a later edge across two corners of
 one face splits the face; across two different faces it merges them and
 raises the genus by one.  Iterative deepening from a certified lower bound
-makes the first completed embedding optimal.
-
-Each genus level is tried by one plain search, resumed slice by slice,
-alternated with seeded restarts, all charged to the one budget.  Slice i
-gives the plain search 100 * luby(i) more nodes (Luby, Sinclair &
-Zuckerman 1993); then restart i shuffles the corner pairs within their
-same-face and cross tiers, and the anchors of each vertex's first edge,
-with random.Random(i), and runs for as many nodes, until the restarts have
-spent RESTART_NODES nodes.  The plain search then runs on alone to the
-end.  Short randomised runs cut the heavy tail of a depth-first search
-(Gomes, Selman & Kautz 1998), and interleaving them with the plain search
-holds neither back behind the other.  A run that walks its whole tree
-settles the level as exhausted, which then costs at most twice the plain
-search's nodes.  An embedding any run finds is optimal, because the level
-it was found at is certified: the first level is a closed-form or
-attached-K4 lower bound and every later one follows an exhausted level.
-Every found rotation is re-traced by face_trace.  A graph the plain search
-settles within its first 100 nodes per level gets the same rotation at the
-same cost as without the restarts.
+makes the first completed embedding optimal: each genus level gets one
+depth-first search, run to its end and charged to the one budget, and the
+first level is a closed-form or attached-K4 lower bound while every later
+one follows an exhausted level.  Every found rotation is re-traced by
+face_trace.
 
 Edges are inserted vertex by vertex in a greedy order, except when the
 first level is the subgraph bound of a K_{m,n} with (m - 2)(n - 2)
@@ -48,20 +34,10 @@ them.  A planar verdict comes with a rotation system that face_trace must
 trace to genus 0.  A nonplanar verdict that is the only source of the lower
 bound 1 is backed by a Kuratowski witness, a subdivision of K_5 or K_{3,3}
 found by edge deletion and verified by check_kuratowski.
-
-Isomorphic graphs have one genus, so exact answers of the search are kept
-per process under graphs.canonical_certificate's key, computed on the twin
-quotient.  The zero-divisor graphs repeat a few shapes, K_{1,1,1,1,8} seven
-times in the atlas, so most searched graphs are answered from this cache.
-An entry holds the rotation in canonical order and the search nodes it
-cost.  It serves a call only when the remaining budget covers that cost,
-which is charged, and its rotation, carried into the caller's labels, is
-re-traced before it is returned.  Open answers are never kept.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from math import inf
 from typing import NamedTuple
@@ -70,7 +46,6 @@ from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
     SimpleGraph,
     bicliques,
-    canonical_certificate,
     cliques,
     connected_components,
     find_biclique,
@@ -536,8 +511,7 @@ def _build_steps(g: SimpleGraph, witness=None):
     A witness (A, B), the sides of a K_{m,n} subgraph, goes first: its
     vertices are ordered by the same rule over the witness edges alone,
     and every witness edge is inserted before any other edge.  The steps
-    depend on g and the witness alone, so one list serves every embedder
-    at every level."""
+    depend on g and the witness alone, so one list serves every level."""
     lead = g.adj  # the rows whose edges are inserted first
     if witness is not None:
         a, b = (_mask(side) for side in witness)
@@ -578,16 +552,11 @@ class _Embedder:
     the face of the corner taken at u.  Any later edge joins two corners:
     of one face, which it splits in two, or of two faces, which it merges,
     adding a handle.  Same-face pairs are tried before cross pairs, and
-    cross pairs only below the target genus.
+    cross pairs only below the target genus."""
 
-    The depth-first walk keeps its own stack, so run can stop when its
-    nodes are spent, and the next run resumes at the pair it stopped
-    before."""
-
-    def __init__(self, g: SimpleGraph, budget: list[int], steps, rng=None):
+    def __init__(self, g: SimpleGraph, budget: list[int], steps):
         self.g = g
         self.budget = budget
-        self.rng = rng
         self.steps = steps
         # the target vertex of each dart
         self.tgt = [w for v, u, _, _ in steps for w in (u, v)]
@@ -597,13 +566,6 @@ class _Embedder:
         self.gcur = 0
         self.fresh = 0
         self.found: RotationSystem | None = None
-        # the walk's stack, by step: its pairs, the next one to try, the
-        # undo frame of the placed one, and the cut; depth is the top step
-        self.pairs_at: list[list] = [[]] * len(steps)
-        self.next_at = [0] * len(steps)
-        self.undo_at: list[tuple] = [()] * len(steps)
-        self.cut_at: list[int | None] = [None] * len(steps)
-        self.depth = -1
 
     def _retrace(self, start: int, fid: int):
         face, nxt = self.face, self.nxt
@@ -671,38 +633,6 @@ class _Embedder:
             order.append(tuple(seq))
         return RotationSystem(tuple(order))
 
-    def start(self, target: int):
-        """Set the walk at its root, for an embedding of genus target; the
-        embedder must be new or have run its last walk to the end."""
-        self.target = target
-        self.found = None
-        self.depth = -1
-        moves = self._moves(0)
-        if isinstance(moves, list):
-            self.depth = 0
-            self.pairs_at[0], self.next_at[0] = moves, 0
-
-    def search(self, target: int, cap=inf) -> bool | None:
-        """start(target), then run(cap)."""
-        self.start(target)
-        return self.run(cap)
-
-    def run(self, nodes=inf) -> bool | None:
-        """Walk on for at most nodes nodes: True with the embedding in
-        self.found, False when g has none of the target genus, None when
-        the nodes settle neither; a later run resumes where this one
-        stopped.  The nodes are charged to the budget cell at the end, and
-        running it out raises _OutOfBudget."""
-        budget = self.budget[0]
-        start = min(nodes, budget)
-        done, left = self._walk(start)
-        if done is None and nodes < budget:
-            left = 0  # the refused node is not charged
-        self.budget[0] -= start - left
-        if done is None and nodes >= budget:
-            raise _OutOfBudget
-        return done
-
     def _moves(self, si: int) -> list | bool:
         """The corner pairs to try at step si, same-face pairs first; True
         with the embedding captured after the last step, False when v's
@@ -712,117 +642,77 @@ class _Embedder:
             return True
         v, u, _, first = self.steps[si]
         if first:
-            pairs = [(None, c_u) for c_u in self.darts_at[u] or [None]]
-            cross = ()
-        else:
-            # the face of the corner after dart d is face[nxt[d]]
-            face, nxt = self.face, self.nxt
-            if self.gcur == self.target:
-                fv = {face[nxt[d]] for d in self.darts_at[v]}
-                j = si
-                while j < len(self.steps) and self.steps[j][0] == v:
-                    fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
-                    if fv.isdisjoint(fu):
-                        return False
-                    j += 1
-            pairs, cross = [], []
-            allow_cross = self.gcur < self.target
-            corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
-            for c_v in self.darts_at[v]:
-                f_v = face[nxt[c_v]]
-                for c_u, f_u in corners_u:
-                    if f_v == f_u:
-                        pairs.append((c_v, c_u))
-                    elif allow_cross:
-                        cross.append((c_v, c_u))
-        if self.rng is not None:
-            # a seeded run shuffles each tier as the walk enters it: the
-            # cross pairs at the cut, once the same-face pairs are spent
-            self.rng.shuffle(pairs)
-            # a shorter shuffle draws nothing
-            self.cut_at[si] = len(pairs) if len(cross) > 1 else None
-        if cross:
-            pairs += cross
-        return pairs
+            return [(None, c_u) for c_u in self.darts_at[u] or [None]]
+        # the face of the corner after dart d is face[nxt[d]]
+        face, nxt = self.face, self.nxt
+        if self.gcur == self.target:
+            fv = {face[nxt[d]] for d in self.darts_at[v]}
+            j = si
+            while j < len(self.steps) and self.steps[j][0] == v:
+                fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
+                if fv.isdisjoint(fu):
+                    return False
+                j += 1
+        pairs, cross = [], []
+        allow_cross = self.gcur < self.target
+        corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
+        for c_v in self.darts_at[v]:
+            f_v = face[nxt[c_v]]
+            for c_u, f_u in corners_u:
+                if f_v == f_u:
+                    pairs.append((c_v, c_u))
+                elif allow_cross:
+                    cross.append((c_v, c_u))
+        return pairs + cross
 
-    def _walk(self, left: int) -> tuple[bool | None, int]:
-        """The depth-first loop of run, with left nodes to spend: (outcome,
-        nodes left), -1 left when a node was refused."""
-        steps, rng = self.steps, self.rng
-        pairs_at, next_at = self.pairs_at, self.next_at
-        undo_at, cut_at = self.undo_at, self.cut_at
+    def search(self, target: int) -> bool:
+        """True with the embedding in self.found, False when g has none of
+        genus target.  The walk keeps its own stack, by step: its pairs,
+        the next one to try and the undo frame of the placed one.  The
+        nodes are charged to the budget cell at the end, and running it out
+        charges the refused node too and raises _OutOfBudget."""
+        self.target = target
+        self.found = None
+        steps = self.steps
+        pairs_at: list[list] = [[]] * len(steps)
+        next_at = [0] * len(steps)
+        undo_at: list[tuple] = [()] * len(steps)
         place, undo, moves_at = self._place, self._undo, self._moves
-        si = self.depth
+        left = self.budget[0]
+        # step 0 is a first edge, so its moves are a list
+        pairs_at[0] = moves_at(0)
+        si = 0
         back = False  # whether step si has a placed pair to take back
-        while si >= 0:
-            pairs = pairs_at[si]
-            k = next_at[si]
-            if back:
-                # the placed pair's subtree holds no embedding
-                undo(steps[si], undo_at[si])
-            if k == cut_at[si]:
-                tail = pairs[k:]
-                rng.shuffle(tail)
-                pairs[k:] = tail
-                cut_at[si] = None
-            elif k == len(pairs):
-                si -= 1
-                back = True
-                continue
-            left -= 1
-            if left < 0:
-                self.depth = si
-                return None, left
-            c_v, c_u = pairs[k]
-            next_at[si] = k + 1
-            undo_at[si] = place(steps[si], c_v, c_u)
-            moves = moves_at(si + 1)
-            if moves is True:
-                return True, left
-            back = moves is False
-            if not back:
-                si += 1
-                pairs_at[si], next_at[si] = moves, 0
-        self.depth = si
-        return self.found is not None, left
+        try:
+            while si >= 0:
+                pairs = pairs_at[si]
+                k = next_at[si]
+                if back:
+                    # the placed pair's subtree holds no embedding
+                    undo(steps[si], undo_at[si])
+                if k == len(pairs):
+                    si -= 1
+                    back = True
+                    continue
+                left -= 1
+                if left < 0:
+                    raise _OutOfBudget
+                c_v, c_u = pairs[k]
+                next_at[si] = k + 1
+                undo_at[si] = place(steps[si], c_v, c_u)
+                moves = moves_at(si + 1)
+                if moves is True:
+                    return True
+                back = moves is False
+                if not back:
+                    si += 1
+                    pairs_at[si], next_at[si] = moves, 0
+            return False
+        finally:
+            self.budget[0] = left
 
 
 EXHAUSTIVE_EDGE_CAP = 40
-# nodes of the seeded restarts at one genus level, in all
-RESTART_NODES = 5 * 10**4
-
-
-# Exact answers of connected nonplanar graphs within EXHAUSTIVE_EDGE_CAP,
-# by canonical key: the bounds with the rotation in canonical labels, and
-# the search nodes they cost.  An entry serves a call only if the call's
-# remaining budget covers that cost, and the cost is then charged, so a hit
-# spends what a search really spent.  Open answers are never stored.
-_GENUS_CACHE: dict[tuple, tuple[GenusBounds, int]] = {}
-GENUS_CACHE_COUNTS = {"hits": 0, "misses": 0}
-
-
-def _relabel(rot: RotationSystem, new: list[int] | tuple[int, ...]
-             ) -> RotationSystem:
-    """rot with every vertex v renamed new[v]."""
-    order: list[tuple[int, ...]] = [()] * len(new)
-    for v, seq in enumerate(rot.order):
-        order[new[v]] = tuple(new[w] for w in seq)
-    return RotationSystem(tuple(order))
-
-
-def _cached_genus(g: SimpleGraph, order: tuple[int, ...],
-                  entry: tuple[GenusBounds, int], spent: list[int]
-                  ) -> GenusBounds:
-    """A cache entry carried into g's labels and re-traced."""
-    bounds, nodes = entry
-    spent[0] -= nodes
-    rot = _relabel(bounds.certificate.rotation, order)
-    faces, gen = face_trace(g, rot)
-    if gen != bounds.upper:
-        raise ZdgenusError(f"cached embedding traced to genus {gen}, "
-                           f"cached genus {bounds.upper}")
-    return bounds._replace(
-        certificate=EmbeddingCertificate(rot, faces, gen))
 
 
 def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
@@ -831,10 +721,7 @@ def exact_genus(g: SimpleGraph, budget: int = 10**8) -> GenusBounds:
 
     Disconnected input is handled per component and summed, and all
     components draw on the one search budget.  Graphs with more than
-    EXHAUSTIVE_EDGE_CAP edges get bounds only.  A connected nonplanar graph
-    isomorphic to one already settled in this process is answered from the
-    class cache: its rotation carried through the canonical order and
-    re-traced by face_trace."""
+    EXHAUSTIVE_EDGE_CAP edges get bounds only."""
     return _exact_genus(g, [budget])
 
 
@@ -863,25 +750,7 @@ def _exact_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
             raise ZdgenusError(f"planar embedding traced to genus {gen}")
         return GenusBounds(0, 0, ("planar embedding",),
                            EmbeddingCertificate(rot, faces, 0))
-    if g.m > EXHAUSTIVE_EDGE_CAP:
-        return _search_genus(g, spent)
-    form = canonical_certificate(g)
-    entry = _GENUS_CACHE.get(form.key)
-    if entry is not None and spent[0] >= entry[1]:
-        GENUS_CACHE_COUNTS["hits"] += 1
-        return _cached_genus(g, form.order, entry, spent)
-    GENUS_CACHE_COUNTS["misses"] += 1
-    before = spent[0]
-    bounds = _search_genus(g, spent)
-    if bounds.exact:
-        cert = bounds.certificate
-        rank = [0] * g.n
-        for k, v in enumerate(form.order):
-            rank[v] = k
-        canon = cert._replace(rotation=_relabel(cert.rotation, rank))
-        _GENUS_CACHE[form.key] = (bounds._replace(certificate=canon),
-                                  before - spent[0])
-    return bounds
+    return _search_genus(g, spent)
 
 
 def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
@@ -891,20 +760,20 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
     if g.m > EXHAUSTIVE_EDGE_CAP:
         return GenusBounds(target, None,
                            tuple(prov + ["too many edges for search"]), None)
-    steps = _build_steps(g, _tight_witness(g, target, prov))
+    emb = _Embedder(g, spent, _build_steps(g, _tight_witness(g, target, prov)))
     while True:
         try:
-            rot = _search_level(g, spent, target, steps)
+            if emb.search(target):
+                break
         except _OutOfBudget:
             return GenusBounds(target, None,
                                tuple(prov + ["budget exhausted"]), None)
-        if rot is not None:
-            break
         prov.append(f"search exhausted genus {target}")
         target += 1
         if target > (g.m - g.n + 1) // 2:
             raise ZdgenusError(f"search passed the cycle-rank bound "
                                f"at genus {target}")
+    rot = emb.found
     faces, gen = face_trace(g, rot)
     if gen != target:
         raise ZdgenusError(f"embedding traced to genus {gen}, "
@@ -943,45 +812,6 @@ def _tight_witness(g: SimpleGraph, level: int, prov: list[str]):
         if rem == 0 and prov == [f"subgraph K_{{{m},{n + 2}}}"]:
             return find_biclique(g, m, n + 2)
     return None
-
-
-def _luby(i: int) -> int:
-    """The i-th term, from 1, of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
-    k = i.bit_length()
-    if i == (1 << k) - 1:
-        return 1 << (k - 1)
-    return _luby(i - (1 << (k - 1)) + 1)
-
-
-def _search_level(g: SimpleGraph, spent: list[int], target: int, steps
-                  ) -> RotationSystem | None:
-    """An embedding of g at genus target, or None when there is none.
-
-    One plain search, resumed slice by slice, alternates with seeded
-    restarts, all charged to spent.  Slice i gives the plain search
-    100 * luby(i) more nodes; then restart i shuffles its corner pairs and
-    anchors with random.Random(i) and runs for as many, until the restarts
-    have spent RESTART_NODES nodes in all.  After that the plain search
-    runs on alone to the end.  A shuffled run walks the same tree in
-    another order, so the runs differ only in which embedding they meet
-    first, and any run that walks its whole tree settles the level as
-    exhausted."""
-    plain = _Embedder(g, spent, steps)
-    plain.start(target)
-    i, left = 0, RESTART_NODES
-    while left:
-        i += 1
-        cap = 100 * _luby(i)
-        done = plain.run(cap)
-        if done is not None:
-            return plain.found if done else None
-        cap = min(cap, left)
-        left -= cap
-        emb = _Embedder(g, spent, steps, random.Random(i))
-        done = emb.search(target, cap)
-        if done is not None:
-            return emb.found if done else None
-    return plain.found if plain.run() else None
 
 
 # === Certificate serialization ==============================================

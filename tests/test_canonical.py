@@ -163,8 +163,8 @@ def test_graph_iso_matches_brute_force(g, data):
 
 
 def test_forms_with_one_key_are_equal_and_hash_equal_whatever_their_order():
-    """The genus class cache is keyed by form.key, and graph_iso compares
-    whole forms, so the order must not enter equality or the hash."""
+    """form.key names the isomorphism class, and graph_iso compares whole
+    forms, so the order must not enter equality or the hash."""
     g = canonical_certificate(make_graph(3, [(0, 1), (1, 2)]))
     h = canonical_certificate(make_graph(3, [(0, 2), (2, 1)]))
     assert g.key == h.key and g.order != h.order

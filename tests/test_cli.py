@@ -6,7 +6,6 @@ exit codes, and any files the command writes.
 
 import csv
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -289,26 +288,11 @@ def test_verify_all_timing_prints_one_stderr_line_per_fact(capsys,
     code, out, err = run(capsys, "verify", "all", "--timing")
     assert code == 0
     assert out == plain_out
-    *lines, cache = err.splitlines()
+    lines = err.splitlines()
     assert len(lines) == len(TheoremId) == 20
     assert [line.split(":")[0] for line in lines] == [
         f"verify {tid.value}" for tid in TheoremId]
     assert all(line.endswith("s") for line in lines)
-    assert cache == "genus cache: 0 hits, 0 misses"
-
-
-def test_atlas_timing_prints_genus_cache_counts(capsys):
-    code, plain_out, plain_err = run(capsys, "atlas", "--max-order", "16")
-    assert code == 0 and plain_err == ""
-    code, out, err = run(capsys, "atlas", "--max-order", "16", "--timing")
-    assert code == 0
-    assert out == plain_out
-    timing, cache = err.splitlines()
-    assert timing.startswith("atlas: ") and timing.endswith("s")
-    hits, misses = map(int, re.fullmatch(
-        r"genus cache: (\d+) hits, (\d+) misses", cache).groups())
-    # the first run filled the cache, so every searched graph is a hit
-    assert hits > 0 and misses == 0
 
 
 def test_timing_prints_one_stderr_line(capsys):

@@ -1,7 +1,9 @@
 import random
+from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zdgenus import (
@@ -28,6 +30,7 @@ from zdgenus.cli import resolve_ideal, resolve_ring
 from zdgenus import genus as genus_module
 from zdgenus.errors import HypothesisNotMet, InvalidSpec, ZdgenusError
 from zdgenus.genus import planar_rotation
+from zdgenus.graphs import is_connected
 
 K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 # a K_4 with pendants on vertices 0, 1 and 2; vertex 3 is free
@@ -265,3 +268,91 @@ def test_wrong_traced_genus_raises_zdgenus_error(monkeypatch, g):
     monkeypatch.setattr(genus_module, "face_trace", off_by_one)
     with pytest.raises(ZdgenusError):
         exact_genus(g)
+
+
+# === Brute-force oracle =====================================================
+#
+# The oracle enumerates every rotation system of a tiny connected graph, so
+# it shares nothing with the edge-insertion search but the definition of a
+# face.
+
+ORACLE_CAP = 10**4  # rotation systems per graph
+PETERSEN = make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+
+
+def relabel(g, perm):
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def rotation_count(g):
+    return prod(factorial(max(g.degree(v) - 1, 0)) for v in range(g.n))
+
+
+def oracle_genus(g):
+    """Least genus over all rotation systems of a connected graph."""
+    darts = [(u, v) for u, v in g.edges()] + [(v, u) for u, v in g.edges()]
+    index = {d: k for k, d in enumerate(darts)}
+    cyclic = []
+    for v in range(g.n):
+        first, *rest = g.neighbors(v)
+        cyclic.append([(first,) + p for p in permutations(rest)] if rest
+                      else [(first,)])
+    most = 0
+    for choice in product(*cyclic):
+        succ = [0] * len(darts)  # dart (v, w) -> next dart out of v
+        for v, seq in enumerate(choice):
+            for i, w in enumerate(seq):
+                succ[index[(v, w)]] = index[(v, seq[(i + 1) % len(seq)])]
+        seen = [False] * len(darts)
+        faces = 0
+        for start in range(len(darts)):
+            if not seen[start]:
+                faces += 1
+                d = start
+                while not seen[d]:
+                    seen[d] = True
+                    u, v = darts[d]
+                    d = succ[index[(v, u)]]
+        most = max(most, faces)
+    return (2 - g.n + g.m - most) // 2
+
+
+@st.composite
+def tiny_connected_graphs(draw):
+    """A spanning path plus drawn chords on at most 7 vertices, relabelled;
+    chords at the busiest vertices are dropped until the oracle has at most
+    ORACLE_CAP rotation systems to try."""
+    n = draw(st.integers(2, 7))
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(chords),
+                         max_size=len(chords)))
+    chords = [e for e, k in zip(chords, keep) if k]
+    path = [(i, i + 1) for i in range(n - 1)]
+    while rotation_count(make_graph(n, path + chords)) > ORACLE_CAP:
+        g = make_graph(n, path + chords)
+        chords.remove(max(chords, key=lambda e: g.degree(e[0]) +
+                          g.degree(e[1])))
+    return relabel(make_graph(n, path + chords),
+                   draw(st.permutations(range(n))))
+
+
+def test_oracle_on_known_genera():
+    assert oracle_genus(complete_graph(4)) == 0
+    assert oracle_genus(complete_graph(5)) == 1
+    assert oracle_genus(complete_bipartite(3, 3)) == 1
+    assert oracle_genus(PETERSEN) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_connected_graphs())
+@example(complete_graph(5)).via("K5")
+@example(complete_bipartite(3, 3)).via("K33")
+def test_exact_genus_matches_oracle(g):
+    assert is_connected(g) and rotation_count(g) <= ORACLE_CAP
+    want = oracle_genus(g)
+    b = exact_genus(g)
+    assert (b.lower, b.upper) == (want, want)
+    assert face_trace(g, b.certificate.rotation) == (b.certificate.faces,
+                                                     want)

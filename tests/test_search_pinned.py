@@ -1,11 +1,10 @@
 """The genus search pinned to fixed node counts, rotations and certificate
 bytes.
 
-A change to the edge-insertion search that keeps its step order, its move
-order, its rng draws and its schedule of plain slices and restarts must
-leave every figure here as it is.  The node counts are those of
-`_search_genus` from the certified level, bypassing the class cache; the
-digest is the SHA-256 of the found rotation as JSON.
+A change to the edge-insertion search that keeps its step order and its
+move order must leave every figure here as it is.  The node counts are
+those `_search_genus` charges from the certified level; the digest is the
+SHA-256 of the found rotation as JSON.
 """
 
 import hashlib
@@ -16,8 +15,14 @@ import sys
 
 import pytest
 
-from zdgenus import complete_graph, complete_multipartite, make_graph
+from zdgenus import (
+    complete_graph,
+    complete_multipartite,
+    ideal_zero_divisor_graph,
+    make_graph,
+)
 from zdgenus import genus as genus_module
+from zdgenus.cli import resolve_ideal, resolve_ring
 
 from test_search_arms import EXHAUSTS_GENUS_1, SRC
 
@@ -30,13 +35,22 @@ PINNED = {
     "K_5": (complete_graph(5), 1, 10, "10ffd744e451b992"),
     "K_{3,3}": (complete_multipartite(3, 3), 1, 9, "0f58af685014314e"),
     "K_7": (complete_graph(7), 1, 78, "6f5e03ab37e375a8"),
-    "K_8": (complete_graph(8), 2, 504, "d8fbf86c16a94fb0"),
+    "K_8": (complete_graph(8), 2, 304, "d8fbf86c16a94fb0"),
     "K_{4,5}": (complete_multipartite(4, 5), 2, 20, "1ee19343d8548f32"),
     "Petersen": (PETERSEN, 1, 15, "04b57d36b54f12eb"),
-    "EXHAUSTS_GENUS_1": (EXHAUSTS_GENUS_1, 2, 32177, "d97ba92c0dab2b8e"),
+    "EXHAUSTS_GENUS_1": (EXHAUSTS_GENUS_1, 2, 16171, "006c3dfd524bba46"),
     # certified at 3 by a tight K_{4,8}, so its witness goes first
     "K_{1,1,1,1,8}": (complete_multipartite(1, 1, 1, 1, 8), 3, 53,
                       "9ea64212f0d53f96"),
+}
+EXHAUSTED_GENUS_1 = ("nonplanar", "search exhausted genus 1",
+                     "embedded at genus 2")
+# (ring, ideal): (lower, upper, provenance, nodes) of the zero-divisor graph
+UNIVERSE = {
+    ("Z_3×Z_12", "#7"): (3, 3, ("euler bound 3", "embedded at genus 3"),
+                         29_156),
+    ("Z_2×Z_16", "#0"): (2, 2, EXHAUSTED_GENUS_1, 41_623),
+    ("Z_2×Z_12", "#0"): (2, 2, EXHAUSTED_GENUS_1, 24_453),
 }
 Z32_GEN8_CERT_SHA256 = (
     "12476af64b90226edd83ebd040afc3150de91d69f8cbe79e96da69686009e2e7")
@@ -52,8 +66,17 @@ def test_search_keeps_nodes_and_rotation(name):
     assert hashlib.sha256(rot).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("ring,ideal", list(UNIVERSE))
+def test_search_keeps_bounds_and_nodes_on_universe_graphs(ring, ideal):
+    t = resolve_ring(ring)
+    g = ideal_zero_divisor_graph(t, resolve_ideal(t, ideal))
+    spent = [10**9]
+    b = genus_module._search_genus(g, spent)
+    assert (b.lower, b.upper, b.provenance, 10**9 - spent[0]) == UNIVERSE[
+        ring, ideal]
+
+
 def test_z32_gen8_certificate_bytes(tmp_path):
-    # a fresh process, so the class cache holds no other labelling
     path = tmp_path / "cert.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")])}

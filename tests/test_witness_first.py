@@ -29,11 +29,11 @@ from zdgenus.cli import resolve_ideal, resolve_ring
 from test_search_arms import _RefEmbedder, searched_classes  # noqa: F401
 
 # (ring, ideal): (certified level's source, nodes in vertex order, nodes
-# witness-first), each from the certified level, bypassing the class cache
+# witness-first), each from the certified level
 UNIVERSE_TIGHT = {
     ("Z_24", "#1"): ("subgraph K_{4,6}", 33, 33),
-    ("Z_32", "#2"): ("subgraph K_{4,8}", 38_334, 53),
-    ("Z_4×Z_11", "#0"): ("subgraph K_{3,10}", 164, 164),
+    ("Z_32", "#2"): ("subgraph K_{4,8}", 849_821, 53),
+    ("Z_4×Z_11", "#0"): ("subgraph K_{3,10}", 108, 108),
 }
 
 
@@ -54,8 +54,8 @@ def vertex_order():
 
 
 def search(g, budget):
-    """(lower, upper, provenance, nodes) of _search_genus, bypassing the
-    class cache; an embedding is re-traced."""
+    """(lower, upper, provenance, nodes) of _search_genus; an embedding is
+    re-traced."""
     spent = [budget]
     b = genus_module._search_genus(g, spent)
     if b.upper is not None:
