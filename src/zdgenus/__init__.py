@@ -82,7 +82,6 @@ classify = _lazy_submodule("classify")
 _LAZY_NAMES = {
     **dict.fromkeys((
         "SimpleGraph",
-        "canonical_certificate",
         "clique_number",
         "complete_bipartite",
         "complete_graph",
@@ -94,7 +93,6 @@ _LAZY_NAMES = {
         "find_biclique",
         "find_complete_subgraph",
         "girth",
-        "graph_iso",
         "ideal_zero_divisor_graph",
         "induced_subgraph",
         "is_connected",

@@ -404,7 +404,7 @@ def export_json(g: SimpleGraph) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-# === Isomorphism ============================================================
+# === Twin classes ===========================================================
 
 
 class TwinQuotient(NamedTuple):
@@ -448,115 +448,3 @@ def twin_quotient(g: SimpleGraph) -> TwinQuotient:
     return TwinQuotient(make_graph(len(classes), sorted(edges)),
                         tuple(classes), tuple(clique))
 
-
-def _refine(g: SimpleGraph, colors: list[int]) -> list[int]:
-    """Stable neighborhood-color refinement."""
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
-
-
-class CanonicalForm(NamedTuple):
-    """key is equal for two graphs exactly when they are isomorphic.  order
-    lists the vertices canonically: for isomorphic g and h, the map from
-    g's order[k] to h's order[k] is an isomorphism.  Forms compare and hash
-    by key alone."""
-
-    key: tuple
-    order: tuple[int, ...]
-
-    def __eq__(self, other):
-        return isinstance(other, CanonicalForm) and self.key == other.key
-
-    def __ne__(self, other):  # tuple's own __ne__ would compare the order
-        return not self == other
-
-    def __hash__(self):
-        return hash(self.key)
-
-
-def canonical_certificate(g: SimpleGraph) -> CanonicalForm:
-    """Canonical form by individualisation and refinement (McKay & Piperno,
-    *Practical graph isomorphism II*, 2014) on the twin quotient, with
-    initial colours from each class's (size, mark).
-
-    The key is the least (class weights, quotient edges) over the leaf
-    orderings of the search; automorphisms found at equal leaves prune the
-    branches they map onto explored ones.  The order lists the classes of
-    that ordering, members of a class by increasing index: twins can be
-    swapped by an automorphism.  Capped at 40 twin classes, since the
-    search is exponential in the worst case."""
-    tq = twin_quotient(g)
-    q = tq.graph
-    if q.n > 40:
-        raise TooLarge(f"canonical form capped at 40 twin classes, got {q.n}")
-    weight = [(len(c), mark) for c, mark in zip(tq.classes, tq.clique)]
-    best_key: tuple | None = None
-    best_leaf: list[int] = []
-    automorphisms: list[list[int]] = []
-
-    def leaf(prefix: list[int]):
-        nonlocal best_key, best_leaf
-        rank = {v: i for i, v in enumerate(prefix)}
-        cand = (tuple(weight[v] for v in prefix),
-                tuple(sorted((min(rank[u], rank[v]), max(rank[u], rank[v]))
-                             for u, v in q.edges())))
-        if best_key is None or cand < best_key:
-            best_key, best_leaf = cand, prefix
-        elif cand == best_key:
-            gamma = [0] * q.n
-            for u, v in zip(best_leaf, prefix):
-                gamma[u] = v
-            automorphisms.append(gamma)
-
-    def orbit(start: list[int], prefix: list[int]) -> set[int]:
-        """start's orbit under the found automorphisms fixing prefix."""
-        gens = [a for a in automorphisms if all(a[p] == p for p in prefix)]
-        seen, todo = set(start), list(start)
-        while todo:
-            v = todo.pop()
-            for a in gens:
-                if a[v] not in seen:
-                    seen.add(a[v])
-                    todo.append(a[v])
-        return seen
-
-    def place(colors: list[int], prefix: list[int]):
-        if len(prefix) == q.n:
-            leaf(prefix)
-            return
-        cells: dict[int, list[int]] = {}
-        placed = set(prefix)
-        for v in range(q.n):
-            if v not in placed:
-                cells.setdefault(colors[v], []).append(v)
-        target = min(cells.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
-        if len(target) == 1:
-            place(colors, prefix + target)
-            return
-        tried: list[int] = []
-        for v in target:
-            if tried and v in orbit(tried, prefix):
-                continue
-            tried.append(v)
-            forced = list(colors)
-            forced[v] = -1 - len(prefix)
-            place(_refine(q, forced), prefix + [v])
-
-    palette = {w: i for i, w in enumerate(sorted(set(weight)))}
-    place(_refine(q, [palette[w] for w in weight]), [])
-    return CanonicalForm(best_key, tuple(v for c in best_leaf
-                                         for v in tq.classes[c]))
-
-
-def graph_iso(g: SimpleGraph, h: SimpleGraph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_certificate(g) == canonical_certificate(h)

@@ -959,12 +959,14 @@ def nilpotency_index(t: RingTable, a: int) -> int | None:
 
 
 def additive_order(t: RingTable, a: int) -> int:
+    """Smallest k >= 1 with k·a = 0; a table without one is not a ring."""
     cur = a
     for k in range(1, t.order + 1):
         if cur == t.zero:
             return k
         cur = t.add[cur][a]
-    raise AssertionError("additive order not found; table invalid")
+    raise InvalidSpec(f"element {t.labels[a]!r} has no additive order: "
+                      "the table is not a ring")
 
 
 def is_local(t: RingTable) -> bool:

@@ -1,12 +1,14 @@
 import json
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zdgenus import (
     IdealSet,
     SimpleGraph,
-    canonical_certificate,
     catalog_ring,
     clique_number,
     complete_bipartite,
@@ -20,7 +22,6 @@ from zdgenus import (
     find_biclique,
     find_complete_subgraph,
     girth,
-    graph_iso,
     ideal_zero_divisor_graph,
     induced_subgraph,
     is_connected,
@@ -29,10 +30,18 @@ from zdgenus import (
 )
 from zdgenus.catalog import catalog_entries, catalog_pairs
 from zdgenus.errors import InvalidSpec
+from zdgenus.graphs import twin_quotient
 from zdgenus.ideals import quotient
 from zdgenus.rings import MAX_ORDER, zero_divisors
 
 INF = float("inf")
+
+
+def to_nx(g):
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    return gx
 
 
 def test_make_graph_rejects_self_loop():
@@ -130,8 +139,7 @@ def test_ideal_graph_order_law(z12):
 def test_expand_bipartite():
     k2 = complete_graph(2)
     g = expand(k2, 3)
-    cert_g = canonical_certificate(g)
-    assert cert_g == canonical_certificate(complete_bipartite(3, 3))
+    assert nx.is_isomorphic(to_nx(g), to_nx(complete_bipartite(3, 3)))
     assert g.labels == ("0#1", "0#2", "0#3", "1#1", "1#2", "1#3")
 
 
@@ -216,21 +224,55 @@ def test_export_json_round_trip():
     assert sorted(back.edges()) == sorted(g.edges())
 
 
-def test_canonical_certificate_distinguishes():
-    assert canonical_certificate(complete_bipartite(2, 2)) != \
-        canonical_certificate(complete_graph(4))
-    assert canonical_certificate(expand(complete_graph(2), 2)) == \
-        canonical_certificate(complete_bipartite(2, 2))
-
-
-def test_graph_iso():
-    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    h = make_graph(4, [(3, 2), (2, 0), (0, 1)])
-    assert graph_iso(g, h)
-    assert not graph_iso(g, complete_graph(4))
-    assert not graph_iso(g, make_graph(4, [(0, 1), (0, 2), (0, 3)]))
-
-
 def test_simple_graph_rejects_asymmetric_rows():
     with pytest.raises(InvalidSpec, match="asymmetric"):
         SimpleGraph(2, (0b10, 0), ("a", "b"))
+
+
+@st.composite
+def twin_graphs(draw, max_n=8):
+    """A drawn graph, half the time blown up so that it has twins: each
+    vertex becomes up to 3 copies, an independent set or a clique."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = make_graph(n, [e for e, k in zip(pairs, keep) if k])
+    if n > 4 or not draw(st.booleans()):
+        return g
+    sizes = [draw(st.integers(1, 3)) for _ in range(n)]
+    cliques = [draw(st.booleans()) for _ in range(n)]
+    return blow_up(g, sizes, cliques)
+
+
+def blow_up(q, sizes, cliques):
+    """Each vertex v of q becomes sizes[v] vertices, joined among
+    themselves when cliques[v]; copies of adjacent vertices are joined."""
+    first = [sum(sizes[:v]) for v in range(q.n)]
+    copies = [range(first[v], first[v] + sizes[v]) for v in range(q.n)]
+    edges = [(a, b) for u, v in q.edges() for a in copies[u]
+             for b in copies[v]]
+    edges += [e for v in range(q.n) if cliques[v]
+              for e in combinations(copies[v], 2)]
+    return make_graph(sum(sizes), edges)
+
+
+@given(twin_graphs())
+def test_twin_quotient_round_trips(g):
+    tq = twin_quotient(g)
+    members = sorted(v for c in tq.classes for v in c)
+    assert members == list(range(g.n))
+    for c, clique in zip(tq.classes, tq.clique):
+        assert list(c) == sorted(c)
+        assert clique == (len(c) > 1 and g.has_edge(c[0], c[1]))
+        if clique:
+            assert len({g.adj[v] | 1 << v for v in c}) == 1
+        else:
+            assert len({g.adj[v] for v in c}) == 1
+    # classes are maximal: no two representatives are twins
+    reps = [c[0] for c in tq.classes]
+    for u, v in combinations(reps, 2):
+        assert g.adj[u] != g.adj[v]
+        assert g.adj[u] | 1 << u != g.adj[v] | 1 << v
+    rebuilt = blow_up(tq.graph, [len(c) for c in tq.classes], tq.clique)
+    assert nx.is_isomorphic(to_nx(rebuilt), to_nx(g))

@@ -24,7 +24,7 @@ from zdgenus import (
     zmod,
 )
 from zdgenus import rings
-from zdgenus.errors import NonConfluentPresentation
+from zdgenus.errors import NonConfluentPresentation, ZdgenusError
 from zdgenus.rings import (
     MAX_ORDER,
     RingTable,
@@ -597,6 +597,15 @@ def test_iso_check_refuses_a_map_respecting_only_multiplication():
     u = RingTable(8, add, t.mul, t.zero, t.one, t.labels)
     assert not validate_table(u).ok
     assert iso_check(t, u) is None and _ref_iso_check(t, u) is None
+
+
+def test_an_element_without_additive_order_is_a_package_error():
+    # 1 + 1 = 1, so repeated addition of 1 never returns to 0
+    u = RingTable(2, ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1, ("0", "1"))
+    with pytest.raises(ZdgenusError, match="'1' has no additive order"):
+        rings.additive_order(u, 1)
+    with pytest.raises(ZdgenusError, match="no additive order"):
+        iso_check(u, u)
 
 
 def test_ring_tables_compare_by_identity_and_take_weak_references():

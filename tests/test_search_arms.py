@@ -19,6 +19,7 @@ from itertools import combinations
 from math import inf
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -36,8 +37,10 @@ from zdgenus import genus as genus_module
 from zdgenus.catalog import catalog_pairs, catalog_ring
 from zdgenus.classify import verify_all
 from zdgenus.genus import RotationSystem, _OutOfBudget
-from zdgenus.graphs import SimpleGraph, canonical_certificate
+from zdgenus.graphs import SimpleGraph
 from zdgenus.ideals import cyclic_ideal
+
+from test_graphs import to_nx
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the search exhausts genus 1 here (in about 16 k nodes), then embeds at
@@ -272,12 +275,15 @@ def ref_search(g, budget=10**9):
 @contextmanager
 def recording_searched_graphs():
     """Collect one graph per isomorphism class handed to the search."""
-    found = {}
+    found = []  # (graph, its networkx copy)
     saved = genus_module._search_genus
 
     def record(g, spent):
         if g.m <= genus_module.EXHAUSTIVE_EDGE_CAP:
-            found.setdefault(canonical_certificate(g).key, g)
+            gx = to_nx(g)
+            if not any(nx.faster_could_be_isomorphic(hx, gx)
+                       and nx.is_isomorphic(hx, gx) for _, hx in found):
+                found.append((g, gx))
         return saved(g, spent)
 
     genus_module._search_genus = record
@@ -295,7 +301,7 @@ def searched_classes():
         for _, table, ideal in catalog_pairs(64):
             exact_genus(ideal_zero_divisor_graph(table, ideal), 10**4)
         verify_all(10**4)
-    return list(found.values())
+    return [g for g, _ in found]
 
 
 def test_plain_search_matches_the_reference_on_catalog_classes(

@@ -64,11 +64,20 @@ def search(g, budget):
     return b.lower, b.upper, b.provenance, budget - spent[0]
 
 
+# search(g, budget) in vertex order by (g.n, g.adj, budget): the catalog
+# class K_{1,1,1,1,8} and Z_32 at #2 are one adjacency, so its 849 821-node
+# walk runs once
+_IN_VERTEX_ORDER: dict = {}
+
+
 def both_orders(g, budget=10**6):
     """search(g, budget) witness-first and in vertex order."""
     first = search(g, budget)
-    with vertex_order():
-        return first, search(g, budget)
+    key = g.n, g.adj, budget
+    if key not in _IN_VERTEX_ORDER:
+        with vertex_order():
+            _IN_VERTEX_ORDER[key] = search(g, budget)
+    return first, _IN_VERTEX_ORDER[key]
 
 
 def check_steps(g, witness):
