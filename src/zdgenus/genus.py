@@ -552,7 +552,9 @@ class _Embedder:
     the face of the corner taken at u.  Any later edge joins two corners:
     of one face, which it splits in two, or of two faces, which it merges,
     adding a handle.  Same-face pairs are tried before cross pairs, and
-    cross pairs only below the target genus."""
+    cross pairs only below the target genus.  The walk is depth-first and
+    recursive, one frame per step, and each node tried is charged to the
+    shared budget cell."""
 
     def __init__(self, g: SimpleGraph, budget: list[int], steps):
         self.g = g
@@ -633,83 +635,63 @@ class _Embedder:
             order.append(tuple(seq))
         return RotationSystem(tuple(order))
 
-    def _moves(self, si: int) -> list | bool:
-        """The corner pairs to try at step si, same-face pairs first; True
-        with the embedding captured after the last step, False when v's
-        remaining edges cannot all be placed."""
+    def search(self, target: int) -> bool:
+        """True with the embedding in self.found, False when g has none of
+        genus target.  The walk recurses one frame per step, so it is at
+        most EXHAUSTIVE_EDGE_CAP + 1 frames deep.  The nodes are charged to
+        the budget cell at the end, and running it out charges the refused
+        node too and raises _OutOfBudget."""
+        self.target = target
+        self.found = None
+        self.left = self.budget[0]
+        try:
+            return self._rec(0)
+        finally:
+            self.budget[0] = self.left
+
+    def _rec(self, si: int) -> bool:
+        """Try each corner pair of step si and recurse; True once the last
+        step is placed.  At the target genus no handle is left, so the step
+        fails at once when v shares no face with the far end of one of its
+        remaining edges."""
         if si == len(self.steps):
             self.found = self._capture()
             return True
-        v, u, _, first = self.steps[si]
+        step = self.steps[si]
+        v, u, _, first = step
         if first:
-            return [(None, c_u) for c_u in self.darts_at[u] or [None]]
-        # the face of the corner after dart d is face[nxt[d]]
-        face, nxt = self.face, self.nxt
-        if self.gcur == self.target:
-            fv = {face[nxt[d]] for d in self.darts_at[v]}
-            j = si
-            while j < len(self.steps) and self.steps[j][0] == v:
-                fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
-                if fv.isdisjoint(fu):
-                    return False
-                j += 1
-        pairs, cross = [], []
-        allow_cross = self.gcur < self.target
-        corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
-        for c_v in self.darts_at[v]:
-            f_v = face[nxt[c_v]]
-            for c_u, f_u in corners_u:
-                if f_v == f_u:
-                    pairs.append((c_v, c_u))
-                elif allow_cross:
-                    cross.append((c_v, c_u))
-        return pairs + cross
-
-    def search(self, target: int) -> bool:
-        """True with the embedding in self.found, False when g has none of
-        genus target.  The walk keeps its own stack, by step: its pairs,
-        the next one to try and the undo frame of the placed one.  The
-        nodes are charged to the budget cell at the end, and running it out
-        charges the refused node too and raises _OutOfBudget."""
-        self.target = target
-        self.found = None
-        steps = self.steps
-        pairs_at: list[list] = [[]] * len(steps)
-        next_at = [0] * len(steps)
-        undo_at: list[tuple] = [()] * len(steps)
-        place, undo, moves_at = self._place, self._undo, self._moves
-        left = self.budget[0]
-        # step 0 is a first edge, so its moves are a list
-        pairs_at[0] = moves_at(0)
-        si = 0
-        back = False  # whether step si has a placed pair to take back
-        try:
-            while si >= 0:
-                pairs = pairs_at[si]
-                k = next_at[si]
-                if back:
-                    # the placed pair's subtree holds no embedding
-                    undo(steps[si], undo_at[si])
-                if k == len(pairs):
-                    si -= 1
-                    back = True
-                    continue
-                left -= 1
-                if left < 0:
-                    raise _OutOfBudget
-                c_v, c_u = pairs[k]
-                next_at[si] = k + 1
-                undo_at[si] = place(steps[si], c_v, c_u)
-                moves = moves_at(si + 1)
-                if moves is True:
-                    return True
-                back = moves is False
-                if not back:
-                    si += 1
-                    pairs_at[si], next_at[si] = moves, 0
-            return False
-        finally:
-            self.budget[0] = left
+            pairs = [(None, c_u) for c_u in self.darts_at[u] or [None]]
+        else:
+            # the face of the corner after dart d is face[nxt[d]]
+            face, nxt = self.face, self.nxt
+            if self.gcur == self.target:
+                fv = {face[nxt[d]] for d in self.darts_at[v]}
+                j = si
+                while j < len(self.steps) and self.steps[j][0] == v:
+                    fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
+                    if fv.isdisjoint(fu):
+                        return False
+                    j += 1
+            pairs, cross = [], []
+            allow_cross = self.gcur < self.target
+            corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
+            for c_v in self.darts_at[v]:
+                f_v = face[nxt[c_v]]
+                for c_u, f_u in corners_u:
+                    if f_v == f_u:
+                        pairs.append((c_v, c_u))
+                    elif allow_cross:
+                        cross.append((c_v, c_u))
+            pairs += cross
+        for c_v, c_u in pairs:
+            self.left -= 1
+            if self.left < 0:
+                raise _OutOfBudget
+            frame = self._place(step, c_v, c_u)
+            if self._rec(si + 1):
+                return True
+            self._undo(step, frame)
+        return False
 
 
 EXHAUSTIVE_EDGE_CAP = 40
@@ -840,9 +822,12 @@ def certificate_from_json(text: str) -> EmbeddingCertificate:
         data = json.loads(text)
         if data["format"] != CERTIFICATE_FORMAT:
             raise InvalidSpec(f"unknown certificate format {data['format']!r}")
-        rot = RotationSystem(
-            tuple(tuple(int(x) for x in seq) for seq in data["rotation"])
-        )
-        return EmbeddingCertificate(rot, int(data["faces"]), int(data["genus"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        rot = tuple(map(tuple, data["rotation"]))
+        faces, genus = data["faces"], data["genus"]
+        # int() would truncate 1.5 and read true as 1: take ints alone
+        if any(type(x) is not int
+               for x in (faces, genus, *(x for seq in rot for x in seq))):
+            raise TypeError("certificate entries must be integers")
+        return EmbeddingCertificate(RotationSystem(rot), faces, genus)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidSpec(f"malformed certificate JSON: {exc}") from exc

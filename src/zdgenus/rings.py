@@ -200,8 +200,7 @@ class RingTable:
     fingerprint memo holds them by weak reference."""
 
     def __init__(self, order: int, add, mul, zero: int, one: int,
-                 labels: tuple[str, ...], name: str = "",
-                 spec: RingSpec | None = None):
+                 labels: tuple[str, ...], name: str = ""):
         self.order = order
         self.add = _byte_rows(add)
         self.mul = _byte_rows(mul)
@@ -209,7 +208,6 @@ class RingTable:
         self.one = one
         self.labels = labels
         self.name = name
-        self.spec = spec
         self._label_index = {s: i for i, s in enumerate(labels)}
 
     def neg(self, a: int) -> int:
@@ -631,7 +629,6 @@ def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
         one=one,
         labels=("0", *labels[1:]),
         name=spec.name,
-        spec=spec,
     ), images
 
 
@@ -721,7 +718,7 @@ def _cyclic_rows(n: int) -> tuple[bytes, ...]:
     return tuple(idx[a:] + idx[:a] for a in range(n))
 
 
-def _build_zmod(n: int, name: str, spec: RingSpec) -> RingTable:
+def _build_zmod(n: int, name: str) -> RingTable:
     if n > MAX_ORDER:
         raise InvalidSpec(f"ring order {n} exceeds maximum {MAX_ORDER}")
     idx = _IDENTITY[:n]
@@ -734,7 +731,6 @@ def _build_zmod(n: int, name: str, spec: RingSpec) -> RingTable:
         one=1 % n,
         labels=tuple(map(str, range(n))),
         name=name,
-        spec=spec,
     )
 
 
@@ -784,11 +780,11 @@ def build_ring(spec: RingSpec) -> RingTable:
     if spec.kind == "zmod":
         if spec.n is None or spec.n < 2:
             raise InvalidSpec("zmod requires n >= 2")
-        table = _build_zmod(spec.n, spec.name, spec)
+        table = _build_zmod(spec.n, spec.name)
     elif spec.kind == "gf":
         _gf_order(spec.p, spec.k)
         if spec.k == 1:
-            table = _build_zmod(spec.p, spec.name, spec)
+            table = _build_zmod(spec.p, spec.name)
         else:
             key = (spec.p, spec.k)
             if key not in _GF_RELATIONS:
@@ -799,12 +795,10 @@ def build_ring(spec: RingSpec) -> RingTable:
                 spec.p, ("a",), _GF_RELATIONS[key], name=spec.name
             )
             table, images = _build_quotient(inner)
-            table.spec = spec
             presented = inner, images
     elif spec.kind == "product":
         table = product_tables(*map(_shared_table, spec.factors),
                                name=spec.name)
-        table.spec = spec
     elif spec.kind == "quotient":
         table, images = _build_quotient(spec)
         presented = spec, images

@@ -27,6 +27,7 @@ from zdgenus import (
     synthesize,
     verify_all,
 )
+from zdgenus import genus as genus_module
 from zdgenus.graphs import (
     complete_bipartite,
     complete_graph,
@@ -39,6 +40,8 @@ BUDGET = 10**8
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.jsonl.gz"
 SWEEP_TIME_LIMIT_S = 1800.0
 FORMULA_TIME_LIMIT_S = 60.0
+# the sweep's genus searches, and the nodes they charge in all
+SWEEP_SEARCH_EFFORT = (47, 2_000_160)
 
 EXPECTED_INSTANCE_COUNTS = {
     TheoremId.REDMOND_PLANAR: 184,
@@ -63,10 +66,30 @@ EXPECTED_EXPANSION_GENUS = {
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    start = time.perf_counter()
-    reports = verify_all(BUDGET)
-    elapsed = time.perf_counter() - start
+def sweep_searches():
+    """The nodes each `_search_genus` call of the sweep charges, recorded
+    while the sweep runs."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_searches):
+    saved = genus_module._search_genus
+
+    def record(g, spent):
+        before = spent[0]
+        try:
+            return saved(g, spent)
+        finally:
+            sweep_searches.append(before - spent[0])
+
+    genus_module._search_genus = record
+    try:
+        start = time.perf_counter()
+        reports = verify_all(BUDGET)
+        elapsed = time.perf_counter() - start
+    finally:
+        genus_module._search_genus = saved
     return reports, elapsed
 
 
@@ -221,6 +244,10 @@ def test_full_sweep_passes_within_time_budget(sweep):
     for tid, rs in reports.items():
         assert rs, tid
         assert _clean(rs), tid
+
+
+def test_sweep_search_effort(sweep, sweep_searches):
+    assert (len(sweep_searches), sum(sweep_searches)) == SWEEP_SEARCH_EFFORT
 
 
 def test_sweep_reports_match_golden(sweep):

@@ -250,10 +250,25 @@ def test_certificate_json_round_trip():
     '{"format": "zdgenus-embedding-1", "faces": 5, "genus": 1}',
     '{"format": "zdgenus-embedding-1", "faces": 5, "genus": 1,'
     ' "rotation": [["a"]]}',
+    # int() would read these as vertex 1, 1 face and genus 1
+    '{"format": "zdgenus-embedding-1", "faces": 5, "genus": 1,'
+    ' "rotation": [[1.5]]}',
+    '{"format": "zdgenus-embedding-1", "faces": 5, "genus": 1,'
+    ' "rotation": [[true]]}',
+    '{"format": "zdgenus-embedding-1", "faces": 1.0, "genus": 1,'
+    ' "rotation": [[]]}',
+    '{"format": "zdgenus-embedding-1", "faces": 5, "genus": "1",'
+    ' "rotation": [[]]}',
 ])
 def test_malformed_certificate_json_raises_invalid_spec(text):
     with pytest.raises(InvalidSpec):
         certificate_from_json(text)
+
+
+def test_deeply_nested_certificate_json_raises_invalid_spec():
+    # nested past the recursion limit, as spec_from_json is tested too
+    with pytest.raises(InvalidSpec):
+        certificate_from_json("[" * 100000)
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5)],

@@ -189,7 +189,6 @@ def _ref_build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
         one=one,
         labels=labels,
         name=spec.name,
-        spec=spec,
     ), images
 
 

@@ -1,12 +1,12 @@
 """The genus search gated against the search it replaced.
 
 `_search_genus` runs one edge-insertion search per genus level, from the
-certified level, each to its end.  The reference kept here is the
-recursive embedder from before the walk kept its own stack, verbatim but
-for its name, the steps it may be handed and a seeded shuffle that no
-caller uses any more.  Run level by level over the same steps, it must give
-the same bounds, provenance, rotation and nodes charged, also when the
-budget runs out: then both charge the refused node too.
+certified level, each to its end.  The reference kept here is an earlier
+copy of the recursive embedder, verbatim but for its name, the steps it may
+be handed, and a seeded shuffle and a node cap that no caller uses any
+more.  Run level by level over the same steps, it must give the same
+bounds, provenance, rotation and nodes charged, also when the budget runs
+out: then both charge the refused node too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from itertools import combinations
-from math import inf
 from pathlib import Path
 
 import networkx as nx
@@ -53,7 +52,8 @@ EXHAUSTS_GENUS_1 = make_graph(9, [
 
 # === Reference ==============================================================
 #
-# The recursive embedder as it was before the walk kept its own stack.
+# The recursive embedder, kept as the oracle for changes to the search's
+# move order and pruning.
 
 
 class _RefEmbedder:
@@ -176,21 +176,14 @@ class _RefEmbedder:
             order.append(tuple(seq))
         return RotationSystem(tuple(order))
 
-    def search(self, target: int, cap=inf) -> bool | None:
+    def search(self, target: int) -> bool:
         """True with the embedding in self.found, False when g has none of
-        genus target, None when cap nodes settle neither; a capped run
-        leaves the embedder unusable.  The nodes are charged to the budget
-        cell at the end, and running it out raises _OutOfBudget."""
+        genus target.  The nodes are charged to the budget cell at the end,
+        and running it out raises _OutOfBudget."""
         self.target = target
-        budget = self.budget[0]
-        self.left = start = min(cap, budget)
+        self.left = start = self.budget[0]
         try:
             return self._rec(0)
-        except _OutOfBudget:
-            if cap >= budget:
-                raise
-            self.left = 0  # the refused node is not charged
-            return None
         finally:
             self.budget[0] -= start - self.left
 

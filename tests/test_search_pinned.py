@@ -18,11 +18,12 @@ import pytest
 from zdgenus import (
     complete_graph,
     complete_multipartite,
+    exact_genus,
     ideal_zero_divisor_graph,
     make_graph,
 )
 from zdgenus import genus as genus_module
-from zdgenus.cli import resolve_ideal, resolve_ring
+from zdgenus.cli import atlas_rows, resolve_ideal, resolve_ring
 
 from test_search_arms import EXHAUSTS_GENUS_1, SRC
 
@@ -52,6 +53,9 @@ UNIVERSE = {
     ("Z_2×Z_16", "#0"): (2, 2, EXHAUSTED_GENUS_1, 41_623),
     ("Z_2×Z_12", "#0"): (2, 2, EXHAUSTED_GENUS_1, 24_453),
 }
+# the atlas's distinct graphs at the default budget, and the nodes their
+# exact_genus calls charge in all
+ATLAS_SEARCH_EFFORT = (33, 984)
 Z32_GEN8_CERT_SHA256 = (
     "12476af64b90226edd83ebd040afc3150de91d69f8cbe79e96da69686009e2e7")
 
@@ -87,3 +91,25 @@ def test_z32_gen8_certificate_bytes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == Z32_GEN8_CERT_SHA256
+
+
+def test_atlas_search_effort(monkeypatch):
+    charged = []
+
+    def record(g, budget):
+        spent = [budget]
+        b = genus_module._exact_genus(g, spent)
+        charged.append(budget - spent[0])
+        return b
+
+    monkeypatch.setattr(genus_module, "exact_genus", record)
+    atlas_rows(64, 10**8)
+    assert (len(charged), sum(charged)) == ATLAS_SEARCH_EFFORT
+
+
+def test_over_cap_graph_is_bounded_without_a_search():
+    # K_50 has 1 225 edges, more than the default recursion limit of 1 000
+    # frames, so a search allowed past the cap must bound its depth first
+    b = exact_genus(complete_graph(50), 10**4)
+    assert (b.lower, b.upper) == (181, None)
+    assert b.provenance[-1] == "too many edges for search"
