@@ -3,9 +3,10 @@
 Every entry pairs a display name with a buildable RingSpec.  Quotient
 presentations store their rewrite systems in completed form: where a listed
 ideal generator is not itself a valid rewrite rule (non-unit leading
-coefficient), the extra rules carry torsion consequences of the ideal, and
-the original generators are kept verbatim on the entry so tests can certify
-the completion against them.
+coefficient), the extra rules carry torsion consequences of the ideal.
+Every quotient entry, the fields F_4, F_8 and F_9 included, keeps its
+original generators verbatim so tests can certify the completion against
+them.
 
 Tags group entries for the classification sweeps:
   planar-local     local rings whose zero-divisor graph is planar
@@ -63,10 +64,12 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
             tags.add("genus-one-local")
         entries.append(CatalogEntry(f"Z_{n}", zmod(n), (), frozenset(tags)))
 
-    # small fields beyond the primes
-    for p, k in [(2, 2), (2, 3), (3, 2)]:
+    # small fields beyond the primes, with their irreducible polynomials
+    for p, k, generator in [(2, 2, "a^2 + a + 1"), (2, 3, "a^3 + a + 1"),
+                            (3, 2, "a^2 + 2*a + 2")]:
         spec = gf(p, k)
-        entries.append(CatalogEntry(spec.name, spec, (), frozenset({"field"})))
+        entries.append(CatalogEntry(spec.name, spec, (generator,),
+                                    frozenset({"field"})))
 
     pl = {"planar-local"}
     g1 = {"genus-one-local"}
@@ -190,16 +193,8 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
                   ("Z_2", "Z_2", "Z_3")]:
         entries.append(_p([spec[n] for n in names], tm))
 
-    merged: dict[str, CatalogEntry] = {}
-    for e in entries:
-        if e.name in merged:
-            prev = merged[e.name]
-            merged[e.name] = CatalogEntry(
-                prev.name, prev.spec, prev.generators, prev.tags | e.tags
-            )
-        else:
-            merged[e.name] = e
-    return tuple(merged.values())
+    # Z_2×Z_3 is listed twice, as equal entries
+    return tuple({e.name: e for e in entries}.values())
 
 
 @lru_cache(maxsize=1)

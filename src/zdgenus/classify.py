@@ -54,7 +54,7 @@ from .ideals import (
 from .rings import (
     MAX_ORDER,
     RingTable,
-    build_ring,
+    _shared_table,
     is_local,
     iso_check,
     product_tables,
@@ -130,15 +130,10 @@ class ClassificationReport(NamedTuple):
 # === Instance plumbing ======================================================
 
 
-@lru_cache(maxsize=None)
-def _zt(t: int) -> RingTable:
-    return build_ring(zmod(t))
-
-
 def synthesize(target: RingTable, size: int) -> tuple[RingTable, IdealSet]:
     """Smallest ring realizing the quotient target at the given ideal size:
     the product target x Z_size with the ideal 0 x Z_size."""
-    table = product_tables(target, _zt(size))
+    table = product_tables(target, _shared_table(zmod(size)))
     if table.zero != 0:
         raise ZdgenusError(f"{table.name} has its zero at {table.zero}, not 0")
     return table, IdealSet(table, (1 << size) - 1)
@@ -734,7 +729,7 @@ def _verify_acyclic_residue_two(budget: int) -> list[ClassificationReport]:
 def _verify_z2_product_graphs(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.Z2_PRODUCT_GRAPHS
     out = []
-    z2 = _zt(2)
+    z2 = _shared_table(zmod(2))
     for lr in _locals():
         if 2 * lr.table.order > MAX_ORDER:
             continue  # product would exceed the supported ring order
@@ -851,7 +846,7 @@ def _extra_genus_two_local() -> RingTable:
     """An order-27 local ring whose maximal ideal squares to zero, giving a
     complete graph on 8 vertices; used to exercise the quotient lift when no
     catalog member has a provably genus-2 graph."""
-    return build_ring(quotient_algebra(
+    return _shared_table(quotient_algebra(
         3, ("x", "y"), [("x^2", "0"), ("x*y", "0"), ("y^2", "0")],
         "Z_3[x,y]/(x²,xy,y²)", 27))
 

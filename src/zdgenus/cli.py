@@ -126,10 +126,12 @@ def resolve_ideal(table: RingTable, selector: str) -> IdealSet:
     ideal generated by the labeled elements a and b."""
     if selector.startswith("#"):
         ideals = enumerate_ideals(table)
-        try:
-            k = int(selector[1:])
-        except ValueError:
+        digits = selector[1:]
+        # ASCII digits only: int() also takes signs, spaces, underscores
+        # and other scripts' digits
+        if not (digits.isascii() and digits.isdigit()):
             raise InvalidSpec(f"bad ideal index {selector!r}")
+        k = int(digits)
         if not 0 <= k < len(ideals):
             raise InvalidSpec(
                 f"ideal index {k} out of range 0..{len(ideals) - 1}")

@@ -1,18 +1,20 @@
 """Finite commutative rings with identity as explicit operation tables.
 
-A ring is described by a RingSpec (modular ring, finite field, direct
-product, or a quotient algebra Z_n[x_1..x_k]/(relations)) and realized as a
-RingTable holding full addition and multiplication tables over element
-indices.  Quotient algebras are built by monomial rewriting: each relation
-maps a monomial to a strictly smaller polynomial in a degree-then-lex order,
-or pins the additive order of a monomial (d*m -> 0).  The irreducible
-monomials form the basis; sums are digit-wise on their coefficients, and
-products are bilinear, so only the products of basis monomials are
-rewritten.  Correctness of the resulting table is not assumed from
-confluence theory; it is enforced a posteriori by complete axiom
-validation, a presentation check (n*1 = 0, every relation holds at the
-variables' images, and those images generate the table, which together
-make the table the presented ring), and an expected-order check.
+A ring is described by a RingSpec (modular ring, direct product, or a
+quotient algebra Z_n[x_1..x_k]/(relations)) and realized as a RingTable
+holding full addition and multiplication tables over element indices.  A
+finite field F_q with q = p^k is Z_p for k = 1 and otherwise the quotient
+Z_p[a]/(an irreducible polynomial of degree k).  Quotient algebras are
+built by monomial rewriting: each relation maps a monomial to a strictly
+smaller polynomial in a degree-then-lex order, or pins the additive order
+of a monomial (d*m -> 0).  The irreducible monomials form the basis; sums
+are digit-wise on their coefficients, and products are bilinear, so only
+the products of basis monomials are rewritten.  Correctness of the
+resulting table is not assumed from confluence theory; it is enforced a
+posteriori by complete axiom validation, a presentation check (n*1 = 0,
+every relation holds at the variables' images, and those images generate
+the table, which together make the table the presented ring), and an
+expected-order check.
 
 Supported orders are small (hard cap 64), so every element index fits in
 a byte and every check is complete.  A table row is a bytes object, and
@@ -91,15 +93,14 @@ class RewriteRule(NamedTuple):
 class RingSpec(NamedTuple):
     """Presentation of a finite commutative ring.
 
-    kind is one of "zmod", "gf", "product", "quotient".  Unused fields stay
-    at their defaults.  expected_order, when set, is checked after build.
+    kind is one of "zmod", "product", "quotient"; gf() returns a zmod spec
+    for a prime field and a quotient spec otherwise.  Unused fields stay at
+    their defaults.  expected_order, when set, is checked after build.
     """
 
     kind: str
     name: str
     n: int | None = None
-    p: int | None = None
-    k: int | None = None
     factors: tuple[RingSpec, ...] = ()
     variables: tuple[str, ...] = ()
     relations: tuple[RewriteRule, ...] = ()
@@ -115,26 +116,6 @@ def zmod(n: int, name: str | None = None) -> RingSpec:
 def is_prime_integer(n: int) -> bool:
     """Whether the integer n is a prime number, by trial division."""
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def _gf_order(p, k) -> int:
-    """p**k, once p is a prime and p**k is at most MAX_ORDER."""
-    if not isinstance(p, int) or not 2 <= p <= MAX_ORDER \
-            or not is_prime_integer(p):
-        raise InvalidSpec(f"gf requires a prime p <= {MAX_ORDER}, got {p!r}")
-    # p >= 2, so k above the bit length of MAX_ORDER is already too large
-    if not isinstance(k, int) or not 1 <= k <= MAX_ORDER.bit_length() \
-            or p**k > MAX_ORDER:
-        raise InvalidSpec(
-            f"gf requires k >= 1 and p^k <= {MAX_ORDER}, got k={k!r}")
-    return p**k
-
-
-def gf(p: int, k: int, name: str | None = None) -> RingSpec:
-    order = _gf_order(p, k)
-    return RingSpec(
-        kind="gf", name=name or f"F_{order}", p=p, k=k, expected_order=order
-    )
 
 
 def product(*factors: RingSpec, name: str | None = None) -> RingSpec:
@@ -185,6 +166,34 @@ def quotient_algebra(
         relations=rules,
         expected_order=expected_order,
     )
+
+
+# Fixed irreducible polynomials for the supported small fields.
+_GF_RELATIONS = {
+    (2, 2): (("a^2", "a + 1"),),   # a^2 + a + 1
+    (2, 3): (("a^3", "a + 1"),),   # a^3 + a + 1
+    (3, 2): (("a^2", "a + 1"),),   # a^2 + 2a + 2
+}
+
+
+def gf(p: int, k: int, name: str | None = None) -> RingSpec:
+    """The field of p^k elements: Z_p for k = 1, else Z_p[a] modulo the
+    irreducible polynomial recorded for (p, k)."""
+    if type(p) is not int or not 2 <= p <= MAX_ORDER \
+            or not is_prime_integer(p):
+        raise InvalidSpec(f"gf requires a prime p <= {MAX_ORDER}, got {p!r}")
+    # p >= 2, so k above the bit length of MAX_ORDER is already too large
+    if type(k) is not int or not 1 <= k <= MAX_ORDER.bit_length() \
+            or p**k > MAX_ORDER:
+        raise InvalidSpec(
+            f"gf requires k >= 1 and p^k <= {MAX_ORDER}, got k={k!r}")
+    if k == 1:
+        return zmod(p, name or f"F_{p}")
+    if (p, k) not in _GF_RELATIONS:
+        raise InvalidSpec(
+            f"no irreducible polynomial recorded for GF({p}^{k})")
+    return quotient_algebra(p, ("a",), _GF_RELATIONS[p, k],
+                            name or f"F_{p**k}", p**k)
 
 
 # === Tables =================================================================
@@ -704,13 +713,6 @@ def _generated(t: RingTable, seeds) -> int:
 
 # === Ring construction ======================================================
 
-# Fixed irreducible polynomials for the supported small fields.
-_GF_RELATIONS = {
-    (2, 2): (("a^2", "a + 1"),),   # a^2 + a + 1
-    (2, 3): (("a^3", "a + 1"),),   # a^3 + a + 1
-    (3, 2): (("a^2", "a + 1"),),   # a^2 + 2a + 2
-}
-
 
 def _cyclic_rows(n: int) -> tuple[bytes, ...]:
     """The addition rows of Z_n: row a is 0..n-1 rotated left by a."""
@@ -776,32 +778,15 @@ def build_ring(spec: RingSpec) -> RingTable:
     """Construct and validate the table for a ring presentation."""
     if not isinstance(spec, RingSpec):
         raise InvalidSpec(f"expected a RingSpec, got {type(spec).__name__}")
-    presented = None  # (quotient spec, variable images) of a quotient table
     if spec.kind == "zmod":
         if spec.n is None or spec.n < 2:
             raise InvalidSpec("zmod requires n >= 2")
         table = _build_zmod(spec.n, spec.name)
-    elif spec.kind == "gf":
-        _gf_order(spec.p, spec.k)
-        if spec.k == 1:
-            table = _build_zmod(spec.p, spec.name)
-        else:
-            key = (spec.p, spec.k)
-            if key not in _GF_RELATIONS:
-                raise InvalidSpec(
-                    f"no irreducible polynomial recorded for GF({spec.p}^{spec.k})"
-                )
-            inner = quotient_algebra(
-                spec.p, ("a",), _GF_RELATIONS[key], name=spec.name
-            )
-            table, images = _build_quotient(inner)
-            presented = inner, images
     elif spec.kind == "product":
         table = product_tables(*map(_shared_table, spec.factors),
                                name=spec.name)
     elif spec.kind == "quotient":
         table, images = _build_quotient(spec)
-        presented = spec, images
     else:
         raise InvalidSpec(f"unknown ring kind {spec.kind!r}")
 
@@ -811,8 +796,8 @@ def build_ring(spec: RingSpec) -> RingTable:
             f"{spec.name}: table fails axioms: "
             + "; ".join(name for name, _ in report.violations)
         )
-    if presented is not None:
-        _check_presentation(table, *presented)
+    if spec.kind == "quotient":
+        _check_presentation(table, spec, images)
     if spec.expected_order is not None and table.order != spec.expected_order:
         raise NonConfluentPresentation(
             f"{spec.name}: built order {table.order}, "
@@ -828,8 +813,10 @@ _SHARED_TABLES: dict[str, RingTable] = {}
 
 def _shared_table(spec: RingSpec) -> RingTable:
     """build_ring(spec), built and validated once per process.  Catalog
-    rings and product factors are such tables: each catalog product's
-    factors are catalog specs, and the table is only ever read."""
+    rings, product factors, and the Z_t factors and extra local ring of
+    classify are such tables: each catalog product's factors are catalog
+    specs, classify's Z_t is the catalog's own where the catalog has it,
+    and a table is only ever read."""
     key = repr(spec)
     if key not in _SHARED_TABLES:
         _SHARED_TABLES[key] = build_ring(spec)
@@ -1076,8 +1063,6 @@ def spec_to_json(spec: RingSpec) -> str:
     def enc(s: RingSpec):
         if s.kind == "zmod":
             return {"kind": "zmod", "n": s.n, "name": s.name}
-        if s.kind == "gf":
-            return {"kind": "gf", "p": s.p, "k": s.k, "name": s.name}
         if s.kind == "product":
             return {
                 "kind": "product",

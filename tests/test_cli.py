@@ -170,6 +170,14 @@ def test_graph_summary(capsys):
     assert "edges: 8" in out
 
 
+@pytest.mark.parametrize("selector", ["#+1", "#0_1", "# 1", "#1 ", "#\uff11"])
+def test_ideal_index_takes_ascii_digits_only(selector, capsys):
+    code, out, err = run(capsys, "graph", "Z_6", selector)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad ideal index" in err
+
+
 def test_graph_dot(capsys):
     code, out, _ = run(capsys, "graph", "Z_6", "#0", "--format", "dot")
     assert code == 0

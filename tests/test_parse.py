@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zdgenus import InvalidSpec
 from zdgenus.catalog import catalog_entries
-from zdgenus.rings import _GF_RELATIONS, _parse_poly
+from zdgenus.rings import _parse_poly
 
 VARIABLE_SETS = (("x",), ("x", "y"), ("a", "x", "y"))
 
@@ -65,9 +65,6 @@ def test_catalog_relations_match_sympy():
              for entry in catalog_entries() if entry.spec.kind == "quotient"
              for spec in [entry.spec]
              for rule in spec.relations for side in (rule.lhs, rule.rhs)]
-    cases += [(side, ("a",), p, f"GF({p}^{k})")
-              for (p, k), rules in _GF_RELATIONS.items()
-              for rule in rules for side in rule]
     assert len(cases) == 198
     for text, variables, n, name in cases:
         assert _parse_poly(text, variables, n) == \

@@ -27,6 +27,7 @@ from zdgenus import rings
 from zdgenus.errors import NonConfluentPresentation, ZdgenusError
 from zdgenus.rings import (
     MAX_ORDER,
+    RingSpec,
     RingTable,
     ValidationReport,
     _check_presentation,
@@ -137,9 +138,25 @@ def test_units_are_sorted_indices(z12):
 
 
 def test_gf_rejects_bad_parameters():
-    for p, k in [(4, 1), (67, 1), (2, 7), (2, 100000), (2, 0), (2.0, 1)]:
+    for p, k in [(4, 1), (67, 1), (2, 7), (2, 100000), (2, 0), (2.0, 1),
+                 (3, True), (True, 1)]:
         with pytest.raises(InvalidSpec):
             gf(p, k)
+
+
+def test_gf_is_its_quotient_presentation():
+    assert gf(3, 1) == zmod(3, "F_3")
+    for (p, k), relations in rings._GF_RELATIONS.items():
+        spec = gf(p, k)
+        assert spec == quotient_algebra(p, ("a",), relations, f"F_{p**k}",
+                                        p**k)
+        assert '"kind": "quotient"' in spec_to_json(spec)
+        assert spec_from_json(spec_to_json(spec)) == spec
+    # an unrecorded field is refused when its spec is made, not built
+    with pytest.raises(InvalidSpec, match="no irreducible polynomial"):
+        gf(2, 4)
+    with pytest.raises(InvalidSpec, match="unknown ring kind"):
+        build_ring(RingSpec(kind="gf", name="F_4", expected_order=4))
 
 
 def test_quotient_algebra_rejects_non_int_expected_order():
@@ -198,6 +215,9 @@ def test_spec_json_rejects_garbage():
         spec_from_json("{not json")
     with pytest.raises(InvalidSpec):
         spec_from_json('{"kind": "mystery", "name": "?"}')
+    # JSON true is not the integer 1
+    with pytest.raises(InvalidSpec):
+        spec_from_json('{"kind": "gf", "p": 3, "k": true}')
 
 
 def test_zero_divisors_match_definition():
