@@ -103,6 +103,7 @@ _LAZY_NAMES = {
     **dict.fromkeys((
         "EmbeddingCertificate",
         "GenusBounds",
+        "LowerBound",
         "certificate_from_json",
         "certificate_to_json",
         "closed_form_bound",

@@ -208,9 +208,9 @@ def _lower_bound_ge2(g: SimpleGraph, budget: int) -> tuple[int | None, str]:
     eb = euler_lower_bound(g)
     if eb >= 2:
         return eb, f"euler bound {eb}"
-    sb, prov = subgraph_lower_bound(g)
-    if sb >= 2:
-        return sb, f"subgraph {prov}"
+    sb = subgraph_lower_bound(g)
+    if sb.value >= 2:
+        return sb.value, sb.source
     b = exact_genus(g, budget)
     if b.lower >= 2:
         return b.lower, "exhaustive search: " + "; ".join(b.provenance)
@@ -605,12 +605,12 @@ def _verify_expansion_bounds(budget: int) -> list[ClassificationReport]:
     out = []
     for name, shape, t, expected in _EXPANSIONS:
         g = expand(complete_multipartite(*shape), t)
-        sb, prov = subgraph_lower_bound(g)
+        sb = subgraph_lower_bound(g)
         b = exact_genus(g, budget)
-        fact = sb >= 2 and b.lower >= 2 and b.upper == expected
+        fact = sb.value >= 2 and b.lower >= 2 and b.upper == expected
         out.append(_report(
             tid, _Instance(f"{name}^({t})", "-", 0, "-", g), True, fact,
-            f"subgraph {prov} gives {sb}; exact genus "
+            f"{sb.source} gives {sb.value}; exact genus "
             f"[{b.lower},{b.upper}] expected {expected}", b))
     return out
 
@@ -861,7 +861,7 @@ def _verify_quotient_genus2_lift(budget: int) -> list[ClassificationReport]:
         gq = zero_divisor_graph(target)
         if gq.n == 0:
             continue
-        qlo = closed_form_bound(gq)[0]
+        qlo = closed_form_bound(gq).value
         if qlo < 2:
             continue
         table, ideal = synthesize(target, 2)

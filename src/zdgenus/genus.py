@@ -15,9 +15,11 @@ first level is a closed-form or attached-K4 lower bound while every later
 one follows an exhausted level.  Every found rotation is re-traced by
 face_trace.
 
+A lower bound is a LowerBound record: its value, the text naming its
+source, and the sides of the K_{m,n} subgraph that gives it, if one does.
 Edges are inserted vertex by vertex in a greedy order, except when the
 first level is the subgraph bound of a K_{m,n} with (m - 2)(n - 2)
-divisible by 4.  Then that witness's edges go first.  Every embedding of
+divisible by 4.  Then the record's witness goes first.  Every embedding of
 such a K_{m,n} at its genus (m - 2)(n - 2) / 4 is all quadrilaterals
 (Ringel 1965), so the search spends all its handles inside the witness,
 and every later edge has to split a face, which the move rules prune.
@@ -47,8 +49,8 @@ from .graphs import (
     SimpleGraph,
     bicliques,
     cliques,
+    _bits,
     connected_components,
-    find_biclique,
     girth,
     induced_subgraph,
     is_connected,
@@ -74,6 +76,26 @@ class EmbeddingCertificate(NamedTuple):
     rotation: RotationSystem
     faces: int
     genus: int
+
+
+class LowerBound(NamedTuple):
+    """A certified genus lower bound with the text naming its source and,
+    when a K_{m,n} subgraph gives it, that subgraph's sides (A, B)."""
+
+    value: int
+    source: str
+    witness: tuple[list[int], list[int]] | None = None
+
+    @property
+    def tight_witness(self) -> tuple[list[int], list[int]] | None:
+        """The witness when (m - 2)(n - 2) = 4 * value, else None.  Every
+        embedding of such a K_{m,n} at genus value is all quadrilaterals
+        (Ringel 1965)."""
+        if self.witness is not None:
+            a, b = self.witness
+            if (len(a) - 2) * (len(b) - 2) == 4 * self.value:
+                return self.witness
+        return None
 
 
 class GenusBounds(NamedTuple):
@@ -420,33 +442,37 @@ def euler_lower_bound(g: SimpleGraph) -> int:
     return max(0, _ceil_div((gr - 2) * e - gr * (v - 2), 2 * gr))
 
 
-def subgraph_lower_bound(g: SimpleGraph) -> tuple[int, str]:
-    """Best genus bound from a complete or complete bipartite subgraph,
-    with the witnessing subgraph named."""
+def subgraph_lower_bound(g: SimpleGraph) -> LowerBound:
+    """Best genus bound from a complete or complete bipartite subgraph.
+    A K_{m,n} found is kept as the witness: the lexicographically first
+    m-set with the largest common neighbourhood, and that neighbourhood."""
     w = clique_number(g)
-    best, prov = genus_complete(w), f"K_{w}"
+    best = LowerBound(genus_complete(w), f"subgraph K_{w}")
     for m in (3, 4, 5):
         # the least n whose K_{m,n} beats best, raised past each one found;
         # a K_{m,n} here has n <= g.n - m
-        n = 3 + 4 * best // (m - 2)
+        n = 3 + 4 * best.value // (m - 2)
         if n > g.n - m:
             continue
-        for _, common in bicliques(g, m, lambda c: c.bit_count() >= n):
-            n = common.bit_count() + 1
-        if genus_biclique(m, n - 1) > best:
-            best, prov = genus_biclique(m, n - 1), f"K_{{{m},{n - 1}}}"
-    return best, prov
+        found = None
+        for found in bicliques(g, m, lambda c: c.bit_count() >= n):
+            n = found[1].bit_count() + 1
+        if found and genus_biclique(m, n - 1) > best.value:
+            best = LowerBound(genus_biclique(m, n - 1),
+                              f"subgraph K_{{{m},{n - 1}}}",
+                              (found[0], _bits(found[1])))
+    return best
 
 
-def closed_form_bound(g: SimpleGraph) -> tuple[int, str]:
-    """The larger of the Euler and subgraph bounds (Euler on ties), with
-    its provenance.  The subgraph search is skipped above 200 vertices."""
+def closed_form_bound(g: SimpleGraph) -> LowerBound:
+    """The larger of the Euler and subgraph bounds, Euler on ties.  The
+    subgraph search is skipped above 200 vertices."""
     el = euler_lower_bound(g)
     if g.n <= 200:
-        sl, sp = subgraph_lower_bound(g)
-        if sl > el:
-            return sl, f"subgraph {sp}"
-    return el, f"euler bound {el}"
+        sub = subgraph_lower_bound(g)
+        if sub.value > el:
+            return sub
+    return LowerBound(el, f"euler bound {el}")
 
 
 def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
@@ -472,7 +498,7 @@ def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
         # genus adds over blocks, so a bound summed over the components
         # of the rest is not sound
         raise HypothesisNotMet("the rest of the graph is disconnected")
-    return 1 + closed_form_bound(rest)[0]
+    return 1 + closed_form_bound(rest).value
 
 
 def _k4_scan(g: SimpleGraph) -> int:
@@ -738,11 +764,12 @@ def _exact_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
 def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
     """Lower bounds, then the search level by level from the best of them,
     for a connected nonplanar graph."""
-    target, prov = _certified_level(g)
+    bound = _certified_level(g)
+    target, prov = bound.value, [bound.source]
     if g.m > EXHAUSTIVE_EDGE_CAP:
         return GenusBounds(target, None,
                            tuple(prov + ["too many edges for search"]), None)
-    emb = _Embedder(g, spent, _build_steps(g, _tight_witness(g, target, prov)))
+    emb = _Embedder(g, spent, _build_steps(g, bound.tight_witness))
     while True:
         try:
             if emb.search(target):
@@ -765,35 +792,21 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
                        EmbeddingCertificate(rot, faces, gen))
 
 
-def _certified_level(g: SimpleGraph) -> tuple[int, list[str]]:
-    """The best lower bound of a connected nonplanar graph, with its source:
-    the first genus level to search."""
-    lb, prov = 1, ["nonplanar"]
-    cb, cp = closed_form_bound(g)
-    if cb == 0:
+def _certified_level(g: SimpleGraph) -> LowerBound:
+    """The best lower bound of a connected nonplanar graph: the first genus
+    level to search."""
+    best = LowerBound(1, "nonplanar")
+    cb = closed_form_bound(g)
+    if cb.value == 0:
         # nothing but the planarity verdict gives the bound 1: check it
         check_kuratowski(g, kuratowski_subdivision(g))
-    if cb > lb:
-        lb, prov = cb, [cp]
+    if cb.value > best.value:
+        best = cb
     if g.n <= 20:
         kb = _k4_scan(g)
-        if kb > lb:
-            lb, prov = kb, [f"attached K4 bound {kb}"]
-    return lb, prov
-
-
-def _tight_witness(g: SimpleGraph, level: int, prov: list[str]):
-    """The sides of the K_{m,n} subgraph that certifies level, when prov
-    names one with (m - 2)(n - 2) = 4 * level; None otherwise.
-
-    Every embedding of such a K_{m,n} at genus level is all quadrilaterals
-    (Ringel 1965), so once the witness is embedded at the level, every
-    other edge has to split a face, and the search prunes those steps."""
-    for m in (3, 4, 5):
-        n, rem = divmod(4 * level, m - 2)
-        if rem == 0 and prov == [f"subgraph K_{{{m},{n + 2}}}"]:
-            return find_biclique(g, m, n + 2)
-    return None
+        if kb > best.value:
+            best = LowerBound(kb, f"attached K4 bound {kb}")
+    return best
 
 
 # === Certificate serialization ==============================================

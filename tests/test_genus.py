@@ -82,12 +82,12 @@ def test_euler_lower_bound():
 
 
 def test_subgraph_lower_bound():
-    value, provenance = subgraph_lower_bound(complete_graph(8))
-    assert value == 2 and "K_8" in provenance
-    value, provenance = subgraph_lower_bound(complete_multipartite(2, 2, 2, 2, 2))
+    assert subgraph_lower_bound(complete_graph(8)) == (2, "subgraph K_8", None)
+    value, source, _ = subgraph_lower_bound(complete_multipartite(2, 2, 2, 2, 2))
     assert value == 2
-    value, provenance = subgraph_lower_bound(complete_bipartite(5, 9))
-    assert (value, provenance) == (6, "K_{5,9}")
+    # a K_{m,n} is kept with its sides
+    assert subgraph_lower_bound(complete_bipartite(5, 9)) == (
+        6, "subgraph K_{5,9}", ([0, 1, 2, 3, 4], list(range(5, 14))))
 
 
 def test_is_planar():
@@ -98,10 +98,11 @@ def test_is_planar():
 
 
 def test_closed_form_bound_prefers_euler_on_ties():
-    assert closed_form_bound(complete_graph(8)) == (2, "euler bound 2")
-    assert closed_form_bound(complete_bipartite(3, 3)) == (1, "euler bound 1")
+    assert closed_form_bound(complete_graph(8)) == (2, "euler bound 2", None)
+    assert closed_form_bound(complete_bipartite(3, 3)) == (
+        1, "euler bound 1", None)
     k5_pendant = make_graph(6, complete_graph(5).edges() + [(4, 5)])
-    assert closed_form_bound(k5_pendant) == (1, "subgraph K_5")
+    assert closed_form_bound(k5_pendant) == (1, "subgraph K_5", None)
 
 
 def test_exact_genus_planar():

@@ -250,10 +250,11 @@ def ref_search(g, budget=10**9):
     """search(g, budget) with the reference embedder over the steps
     `_search_genus` builds: the tight witness's edges first, if the
     certified level has one."""
-    level, prov = genus_module._certified_level(g)
+    bound = genus_module._certified_level(g)
+    level, prov = bound.value, [bound.source]
     spent = [budget]
     emb = _RefEmbedder(g, spent, genus_module._build_steps(
-        g, genus_module._tight_witness(g, level, prov)))
+        g, bound.tight_witness))
     try:
         while not emb.search(level):
             prov.append(f"search exhausted genus {level}")

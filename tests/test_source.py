@@ -187,7 +187,8 @@ def test_cli_import_registers_the_traced_modules():
 
 # Every name that zdgenus exported before genus and classify became lazy,
 # by defining module, less canonical_certificate and graph_iso, which went
-# with the canonical-form layer when nothing called it any more.
+# with the canonical-form layer when nothing called it any more, plus
+# LowerBound, the record the lower-bound functions return.
 PACKAGE_EXPORTS = {
     "catalog": ("catalog", "catalog_entries", "catalog_ring", "find_catalog"),
     "classify": (
@@ -200,11 +201,11 @@ PACKAGE_EXPORTS = {
         "NonConfluentPresentation", "NotRadical", "WholeRingIdeal",
         "ZdgenusError"),
     "genus": (
-        "EmbeddingCertificate", "GenusBounds", "certificate_from_json",
-        "certificate_to_json", "closed_form_bound", "euler_lower_bound",
-        "exact_genus", "face_trace", "genus_biclique", "genus_complete",
-        "is_planar", "k4_attachment_bound", "random_rotation",
-        "subgraph_lower_bound"),
+        "EmbeddingCertificate", "GenusBounds", "LowerBound",
+        "certificate_from_json", "certificate_to_json", "closed_form_bound",
+        "euler_lower_bound", "exact_genus", "face_trace", "genus_biclique",
+        "genus_complete", "is_planar", "k4_attachment_bound",
+        "random_rotation", "subgraph_lower_bound"),
     "graphs": (
         "SimpleGraph", "clique_number", "complete_bipartite",
         "complete_graph", "complete_multipartite", "diameter", "expand",

@@ -84,15 +84,18 @@ def ref_max_biclique_n(g, m):
 
 
 def ref_subgraph_lower_bound(g):
+    """(value, source, witness), the witness re-found by the reference
+    biclique scan."""
     w = clique_number(g)
-    best, prov = genus_complete(w), f"K_{w}"
+    best = genus_complete(w), f"subgraph K_{w}", None
     for m in (3, 4, 5):
-        if g.n < m + 3 or genus_biclique(m, g.n - m) <= best:
+        if g.n < m + 3 or genus_biclique(m, g.n - m) <= best[0]:
             continue
         n = ref_max_biclique_n(g, m)
-        if n >= 3 and genus_biclique(m, n) > best:
-            best, prov = genus_biclique(m, n), f"K_{{{m},{n}}}"
-    return best, prov
+        if n >= 3 and genus_biclique(m, n) > best[0]:
+            best = (genus_biclique(m, n), f"subgraph K_{{{m},{n}}}",
+                    ref_find_biclique(g, m, n))
+    return best
 
 
 def ref_k4_scan(g):
