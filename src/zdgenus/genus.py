@@ -24,7 +24,9 @@ such a K_{m,n} at its genus (m - 2)(n - 2) / 4 is all quadrilaterals
 (Ringel 1965), so the search spends all its handles inside the witness,
 and every later edge has to split a face, which the move rules prune.
 K_{1,1,1,1,8}, certified at 3 by its K_{4,8}, settles in 53 nodes this
-way, against 0.85 M for the plain search in vertex order.  A witness that
+way, against 0.85 M for the plain search in vertex order, and the graph of
+Z_2 x Z_16 at (0), certified at 1 by a K_{3,6}, exhausts genus 1 and embeds
+at 2 in 21 549 nodes against 41 623.  A witness that
 is not tight leaves handles to spend on the rest, and witness-first made
 such searches longer (a K_{3,7}-certified class went from 892 to 56 989
 nodes), so every other graph keeps the vertex order.
@@ -795,13 +797,11 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
 def _certified_level(g: SimpleGraph) -> LowerBound:
     """The best lower bound of a connected nonplanar graph: the first genus
     level to search."""
-    best = LowerBound(1, "nonplanar")
-    cb = closed_form_bound(g)
-    if cb.value == 0:
+    best = closed_form_bound(g)
+    if best.value == 0:
         # nothing but the planarity verdict gives the bound 1: check it
         check_kuratowski(g, kuratowski_subdivision(g))
-    if cb.value > best.value:
-        best = cb
+        best = LowerBound(1, "nonplanar")
     if g.n <= 20:
         kb = _k4_scan(g)
         if kb > best.value:

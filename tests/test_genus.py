@@ -130,6 +130,23 @@ def test_exact_genus_k33():
     assert b.certificate.faces == 3
 
 
+# K_5 with the edge 0-1 subdivided: no Euler or subgraph bound reaches 1
+K5_SUBDIVIDED = make_graph(6, [e for e in complete_graph(5).edges()
+                               if e != (0, 1)] + [(0, 5), (5, 1)])
+
+
+@pytest.mark.parametrize("g,source", [
+    (complete_graph(6), "euler bound 1"),
+    (complete_graph(5), "euler bound 1"),
+    (complete_bipartite(3, 3), "euler bound 1"),
+    (K5_SUBDIVIDED, "nonplanar"),
+])
+def test_genus_one_names_its_source(g, source):
+    """The closed-form source of the level 1 is kept; "nonplanar" names
+    the Kuratowski witness only when it is the sole source."""
+    assert exact_genus(g).provenance == (source, "embedded at genus 1")
+
+
 def test_exact_genus_matches_formulas():
     for n in range(3, 8):
         b = exact_genus(complete_graph(n))

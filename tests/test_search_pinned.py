@@ -23,6 +23,7 @@ from zdgenus import (
     make_graph,
 )
 from zdgenus import genus as genus_module
+from zdgenus import graphs as graphs_module
 from zdgenus.cli import atlas_rows, resolve_ideal, resolve_ring
 
 from test_search_arms import EXHAUSTS_GENUS_1, SRC
@@ -44,30 +45,36 @@ PINNED = {
     "K_{1,1,1,1,8}": (complete_multipartite(1, 1, 1, 1, 8), 3, 53,
                       "9ea64212f0d53f96"),
 }
-EXHAUSTED_GENUS_1 = ("nonplanar", "search exhausted genus 1",
-                     "embedded at genus 2")
 # (ring, ideal): (lower, upper, provenance, nodes) of the zero-divisor graph
 UNIVERSE = {
     ("Z_3×Z_12", "#7"): (3, 3, ("euler bound 3", "embedded at genus 3"),
                          29_156),
-    ("Z_2×Z_16", "#0"): (2, 2, EXHAUSTED_GENUS_1, 41_623),
-    ("Z_2×Z_12", "#0"): (2, 2, EXHAUSTED_GENUS_1, 24_453),
+    # a tight K_{3,6} at genus 1, so its witness goes first
+    ("Z_2×Z_16", "#0"): (2, 2, ("subgraph K_{3,6}", "search exhausted genus 1",
+                                "embedded at genus 2"), 21_549),
+    # a K_{3,5} is not tight, so the vertex order stays
+    ("Z_2×Z_12", "#0"): (2, 2, ("subgraph K_{3,5}", "search exhausted genus 1",
+                                "embedded at genus 2"), 24_453),
 }
 # the atlas's distinct graphs at the default budget, and the nodes their
 # exact_genus calls charge in all
-ATLAS_SEARCH_EFFORT = (33, 984)
+ATLAS_SEARCH_EFFORT = (33, 971)
 Z32_GEN8_CERT_SHA256 = (
     "12476af64b90226edd83ebd040afc3150de91d69f8cbe79e96da69686009e2e7")
 
 
-@pytest.mark.parametrize("name", list(PINNED))
-def test_search_keeps_nodes_and_rotation(name):
+def assert_pinned(name):
     g, level, nodes, digest = PINNED[name]
     spent = [10**9]
     b = genus_module._search_genus(g, spent)
     rot = json.dumps(b.certificate.rotation.order).encode()
     assert (b.upper, 10**9 - spent[0]) == (level, nodes)
     assert hashlib.sha256(rot).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_search_keeps_nodes_and_rotation(name):
+    assert_pinned(name)
 
 
 @pytest.mark.parametrize("ring,ideal", list(UNIVERSE))
@@ -78,6 +85,18 @@ def test_search_keeps_bounds_and_nodes_on_universe_graphs(ring, ideal):
     b = genus_module._search_genus(g, spent)
     assert (b.lower, b.upper, b.provenance, 10**9 - spent[0]) == UNIVERSE[
         ring, ideal]
+
+
+def test_search_takes_the_witness_from_the_bound(monkeypatch):
+    """The witness-first steps come from the certified level's record, with
+    no second biclique scan."""
+
+    def refuse(*args):
+        raise RuntimeError("find_biclique called on the search path")
+
+    monkeypatch.setattr(graphs_module, "find_biclique", refuse)
+    monkeypatch.setattr(genus_module, "find_biclique", refuse, raising=False)
+    assert_pinned("K_{1,1,1,1,8}")
 
 
 def test_z32_gen8_certificate_bytes(tmp_path):

@@ -31,6 +31,8 @@ from test_search_arms import _RefEmbedder, searched_classes  # noqa: F401
 # (ring, ideal): (certified level's source, nodes in vertex order, nodes
 # witness-first), each from the certified level
 UNIVERSE_TIGHT = {
+    # genus 1 from a K_{3,6}; the search exhausts it and embeds at 2
+    ("Z_2×Z_16", "#0"): ("subgraph K_{3,6}", 41_623, 21_549),
     ("Z_24", "#1"): ("subgraph K_{4,6}", 33, 33),
     ("Z_32", "#2"): ("subgraph K_{4,8}", 849_821, 53),
     ("Z_4×Z_11", "#0"): ("subgraph K_{3,10}", 108, 108),
@@ -111,8 +113,9 @@ def test_steps_are_an_insertion_order_on_catalog_classes(searched_classes):
             tight.append((g.n, g.m))
             assert steps != _RefEmbedder(g, [0]).steps
             check_steps(g, None)
-    # K_{4,6} certifies Gamma_(2)(Z_24) at 2, and K_{4,8} K_{1,1,1,1,8} at 3
-    assert sorted(tight) == [(12, 38), (14, 33)]
+    # K_{3,6} certifies Gamma_(8)(Z_24) at 1, K_{4,6} Gamma_(2)(Z_24) at 2,
+    # and K_{4,8} K_{1,1,1,1,8} at 3
+    assert sorted(tight) == [(9, 21), (12, 38), (14, 33)]
 
 
 def test_witness_first_keeps_the_answer_on_catalog_classes(searched_classes):
