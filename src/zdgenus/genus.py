@@ -15,21 +15,18 @@ first level is a closed-form or attached-K4 lower bound while every later
 one follows an exhausted level.  Every found rotation is re-traced by
 face_trace.
 
-A lower bound is a LowerBound record: its value, the text naming its
-source, and the sides of the K_{m,n} subgraph that gives it, if one does.
-Edges are inserted vertex by vertex in a greedy order, except when the
-first level is the subgraph bound of a K_{m,n} with (m - 2)(n - 2)
-divisible by 4.  Then the record's witness goes first.  Every embedding of
-such a K_{m,n} at its genus (m - 2)(n - 2) / 4 is all quadrilaterals
-(Ringel 1965), so the search spends all its handles inside the witness,
-and every later edge has to split a face, which the move rules prune.
-K_{1,1,1,1,8}, certified at 3 by its K_{4,8}, settles in 53 nodes this
-way, against 0.85 M for the plain search in vertex order, and the graph of
-Z_2 x Z_16 at (0), certified at 1 by a K_{3,6}, exhausts genus 1 and embeds
-at 2 in 21 549 nodes against 41 623.  A witness that
-is not tight leaves handles to spend on the rest, and witness-first made
-such searches longer (a K_{3,7}-certified class went from 892 to 56 989
-nodes), so every other graph keeps the vertex order.
+Each lower bound is a LowerBound: its value, its source's name, and the
+sides of the K_{m,n} that gives it, if one does.  Edges are inserted
+vertex by vertex in a greedy order, except when the first level is such a
+bound with (m - 2)(n - 2) divisible by 4, as a K_{3,6} at genus 1 is: then
+the witness goes first.  Every embedding of that K_{m,n} at its genus
+(m - 2)(n - 2) / 4 is all quadrilaterals (Ringel 1965), so the search
+spends all its handles inside the witness, and every later edge has to
+split a face, which the move rules prune.  K_{1,1,1,1,8}, certified at 3
+by its K_{4,8}, settles in 53 nodes this way, against 0.85 M in vertex
+order.  A witness that is not tight leaves handles for the rest, and
+witness-first made those searches longer (892 to 56 989 nodes for one
+K_{3,7}-certified class), so every other graph keeps the vertex order.
 
 Planarity is decided here, with no graph library: an Euler edge count,
 then each biconnected block by the path-addition test of Demoucron,
@@ -49,9 +46,9 @@ from typing import NamedTuple
 from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
     SimpleGraph,
+    _bits,
     bicliques,
     cliques,
-    _bits,
     connected_components,
     girth,
     induced_subgraph,
@@ -87,17 +84,6 @@ class LowerBound(NamedTuple):
     value: int
     source: str
     witness: tuple[list[int], list[int]] | None = None
-
-    @property
-    def tight_witness(self) -> tuple[list[int], list[int]] | None:
-        """The witness when (m - 2)(n - 2) = 4 * value, else None.  Every
-        embedding of such a K_{m,n} at genus value is all quadrilaterals
-        (Ringel 1965)."""
-        if self.witness is not None:
-            a, b = self.witness
-            if (len(a) - 2) * (len(b) - 2) == 4 * self.value:
-                return self.witness
-        return None
 
 
 class GenusBounds(NamedTuple):
@@ -445,9 +431,8 @@ def euler_lower_bound(g: SimpleGraph) -> int:
 
 
 def subgraph_lower_bound(g: SimpleGraph) -> LowerBound:
-    """Best genus bound from a complete or complete bipartite subgraph.
-    A K_{m,n} found is kept as the witness: the lexicographically first
-    m-set with the largest common neighbourhood, and that neighbourhood."""
+    """Best genus bound from a complete or complete bipartite subgraph; a
+    K_{m,n}'s witness is the first m-set with the most common neighbours."""
     w = clique_number(g)
     best = LowerBound(genus_complete(w), f"subgraph K_{w}")
     for m in (3, 4, 5):
@@ -487,9 +472,7 @@ def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
     for a, b in combinations(q, 2):
         if not g.has_edge(a, b):
             raise HypothesisNotMet(f"vertices {a},{b} are not adjacent")
-    qmask = 0
-    for v in q:
-        qmask |= 1 << v
+    qmask = _mask(q)
     if qmask == (1 << g.n) - 1:
         raise HypothesisNotMet("nothing remains outside the four vertices")
     for v in q:
@@ -771,7 +754,10 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
     if g.m > EXHAUSTIVE_EDGE_CAP:
         return GenusBounds(target, None,
                            tuple(prov + ["too many edges for search"]), None)
-    emb = _Embedder(g, spent, _build_steps(g, bound.tight_witness))
+    witness = bound.witness
+    if witness and (len(witness[0]) - 2) * (len(witness[1]) - 2) != 4 * target:
+        witness = None  # not tight: the vertex order stays
+    emb = _Embedder(g, spent, _build_steps(g, witness))
     while True:
         try:
             if emb.search(target):
@@ -784,14 +770,13 @@ def _search_genus(g: SimpleGraph, spent: list[int]) -> GenusBounds:
         if target > (g.m - g.n + 1) // 2:
             raise ZdgenusError(f"search passed the cycle-rank bound "
                                f"at genus {target}")
-    rot = emb.found
-    faces, gen = face_trace(g, rot)
+    faces, gen = face_trace(g, emb.found)
     if gen != target:
         raise ZdgenusError(f"embedding traced to genus {gen}, "
                            f"search level {target}")
     prov.append(f"embedded at genus {target}")
     return GenusBounds(target, target, tuple(prov),
-                       EmbeddingCertificate(rot, faces, gen))
+                       EmbeddingCertificate(emb.found, faces, gen))
 
 
 def _certified_level(g: SimpleGraph) -> LowerBound:

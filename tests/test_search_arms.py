@@ -246,6 +246,16 @@ def search(g, budget=10**9):
     return b.lower, b.upper, b.provenance, rot, budget - spent[0]
 
 
+def tight_witness(g):
+    """The certified level's K_{m,n} witness when (m - 2)(n - 2) is four
+    times the level, the one `_search_genus` puts first; None otherwise."""
+    bound = genus_module._certified_level(g)
+    a, b = bound.witness or ((), ())
+    if a and (len(a) - 2) * (len(b) - 2) == 4 * bound.value:
+        return bound.witness
+    return None
+
+
 def ref_search(g, budget=10**9):
     """search(g, budget) with the reference embedder over the steps
     `_search_genus` builds: the tight witness's edges first, if the
@@ -254,7 +264,7 @@ def ref_search(g, budget=10**9):
     level, prov = bound.value, [bound.source]
     spent = [budget]
     emb = _RefEmbedder(g, spent, genus_module._build_steps(
-        g, bound.tight_witness))
+        g, tight_witness(g)))
     try:
         while not emb.search(level):
             prov.append(f"search exhausted genus {level}")

@@ -26,7 +26,11 @@ from zdgenus import (
 from zdgenus import genus as genus_module
 from zdgenus.cli import resolve_ideal, resolve_ring
 
-from test_search_arms import _RefEmbedder, searched_classes  # noqa: F401
+from test_search_arms import (  # noqa: F401
+    _RefEmbedder,
+    searched_classes,
+    tight_witness as witness_of,
+)
 
 # (ring, ideal): (certified level's source, nodes in vertex order, nodes
 # witness-first), each from the certified level
@@ -37,10 +41,6 @@ UNIVERSE_TIGHT = {
     ("Z_32", "#2"): ("subgraph K_{4,8}", 849_821, 53),
     ("Z_4×Z_11", "#0"): ("subgraph K_{3,10}", 108, 108),
 }
-
-
-def witness_of(g):
-    return genus_module._certified_level(g).tight_witness
 
 
 @contextmanager
