@@ -515,22 +515,23 @@ class _QuotientEngine:
         return None
 
     def normal_form(self, poly: dict) -> dict:
+        """poly rewritten until no rule applies, its terms settled largest
+        first: a rewrite only adds terms below the one it replaces, so the
+        largest term left is final once no rule applies to it."""
         p = {}
         for m, c in poly.items():
             c %= self.modulus(m)
             if c:
                 p[m] = c
-        while True:
-            target = None
-            for m in sorted(p, key=_deglex_key, reverse=True):
-                hit = self._reducible_by(m)
-                if hit is not None:
-                    target = (m, hit)
-                    break
-            if target is None:
-                return p
-            m, (lhs, rhs) = target
+        out = {}
+        while p:
+            m = max(p, key=_deglex_key)
             c = p.pop(m)
+            hit = self._reducible_by(m)
+            if hit is None:
+                out[m] = c
+                continue
+            lhs, rhs = hit
             q = tuple(a - b for a, b in zip(m, lhs))
             for rm, rc in rhs.items():
                 mm = _mono_mul(rm, q)
@@ -539,6 +540,7 @@ class _QuotientEngine:
                     p[mm] = v
                 else:
                     p.pop(mm, None)
+        return out
 
     def basis(self) -> list[tuple[int, ...]]:
         """All irreducible monomials of additive order >= 2 (BFS closure)."""
