@@ -23,7 +23,6 @@ from .errors import CliqueHypothesisViolated, ZdgenusError
 from .genus import (
     GenusBounds,
     closed_form_bound,
-    euler_lower_bound,
     exact_genus,
     is_planar,
     k4_attachment_bound,
@@ -200,37 +199,28 @@ def _report(
     )
 
 
-def _lower_bound_ge2(g: SimpleGraph, budget: int) -> tuple[int | None, str]:
-    """Cheapest certified genus lower bound that reaches 2, with provenance.
-
-    Falls back to the exhaustive search only when the closed-form bounds
-    stall below 2; returns (None, reason) if even that is inconclusive."""
-    eb = euler_lower_bound(g)
-    if eb >= 2:
-        return eb, f"euler bound {eb}"
-    sb = subgraph_lower_bound(g)
-    if sb.value >= 2:
-        return sb.value, sb.source
-    b = exact_genus(g, budget)
-    if b.lower >= 2:
-        return b.lower, "exhaustive search: " + "; ".join(b.provenance)
-    if b.upper is None:
-        return None, "inconclusive: " + "; ".join(b.provenance)
-    return b.upper, "exact genus " + str(b.upper)
-
-
 def _lower_bound_report(
     theorem: TheoremId, inst: _Instance, budget: int, detail: str,
     verdict: bool = True, claims_ge2: bool = True,
 ) -> ClassificationReport:
     """Report on the claim that inst's graph has genus at least 2
-    (claims_ge2) or at most 1 (not claims_ge2), observed through
-    _lower_bound_ge2; the bound's provenance is appended to detail.  Open
-    when no bound is certified."""
-    lo, prov = _lower_bound_ge2(inst.graph, budget)
+    (claims_ge2) or at most 1 (not claims_ge2), observed through the
+    closed-form bound, or the exhaustive search when that stays below 2;
+    the bound's source is appended to detail.  Open when no bound is
+    certified."""
+    lo, source, _ = closed_form_bound(inst.graph)
+    if lo < 2:
+        b = exact_genus(inst.graph, budget)
+        if b.lower >= 2:
+            lo, source = b.lower, "exhaustive search: " + "; ".join(
+                b.provenance)
+        elif b.upper is None:
+            lo, source = None, "inconclusive: " + "; ".join(b.provenance)
+        else:
+            lo, source = b.upper, "exact genus " + str(b.upper)
     ge2 = lo is not None and lo >= 2
-    return _report(theorem, inst, verdict, ge2 == claims_ge2, detail + prov,
-                   lower=lo, inconclusive=lo is None)
+    return _report(theorem, inst, verdict, ge2 == claims_ge2,
+                   detail + source, lower=lo, inconclusive=lo is None)
 
 
 # weak keys, so that a table the caller drops is not kept alive here
@@ -525,17 +515,6 @@ def _genus_one_positive(
     return _report(tid, inst, verdict, fact, detail, b)
 
 
-def _genus_one_negative(
-    tid: TheoremId,
-    name: str,
-    size: int,
-    budget: int,
-    verdict: bool,
-) -> ClassificationReport:
-    return _lower_bound_report(tid, _synthesized(name, size), budget,
-                               "lower bound via ", verdict, claims_ge2=False)
-
-
 def _verify_genus_one_clique_le2(budget: int) -> list[ClassificationReport]:
     tid = TheoremId.GENUS_ONE_CLIQUE_LE2
     predicate = genus_one_clique_le2_predicate
@@ -546,11 +525,13 @@ def _verify_genus_one_clique_le2(budget: int) -> list[ClassificationReport]:
             exact_one = size == cap and name in _EXACT_ONE_AT_CAP
             out.append(_genus_one_positive(
                 tid, name, size, budget, predicate(target, size), exact_one))
-        out.append(_genus_one_negative(
-            tid, name, cap + 1, budget, predicate(target, cap + 1)))
+        out.append(_lower_bound_report(
+            tid, _synthesized(name, cap + 1), budget, "lower bound via ",
+            predicate(target, cap + 1), claims_ge2=False))
     # non-listed quotient of matching clique number: genus must exceed 1
-    out.append(_genus_one_negative(
-        tid, "Z_12", 2, budget, predicate(catalog_ring("Z_12"), 2)))
+    out.append(_lower_bound_report(
+        tid, _synthesized("Z_12", 2), budget, "lower bound via ",
+        predicate(catalog_ring("Z_12"), 2), claims_ge2=False))
     return out
 
 
@@ -562,10 +543,12 @@ def _verify_genus_one_clique3(budget: int) -> list[ClassificationReport]:
         target = catalog_ring(name)
         out.append(_genus_one_positive(
             tid, name, 2, budget, predicate(target, 2), True))
-        out.append(_genus_one_negative(
-            tid, name, 3, budget, predicate(target, 3)))
-    out.append(_genus_one_negative(
-        tid, "Z_2×Z_9", 2, budget, predicate(catalog_ring("Z_2×Z_9"), 2)))
+        out.append(_lower_bound_report(
+            tid, _synthesized(name, 3), budget, "lower bound via ",
+            predicate(target, 3), claims_ge2=False))
+    out.append(_lower_bound_report(
+        tid, _synthesized("Z_2×Z_9", 2), budget, "lower bound via ",
+        predicate(catalog_ring("Z_2×Z_9"), 2), claims_ge2=False))
     return out
 
 
@@ -825,15 +808,13 @@ def _verify_attached_k4_graph(budget: int) -> list[ClassificationReport]:
         kb >= 2 and b.lower >= 2,
         f"attachment bound {kb}; exact genus [{b.lower},{b.upper}]", b))
     for name in _GENUS_TWO_TARGETS:
+        inst = _synthesized(name, 2)
         found = _h_embedding(name)
         if found is None:
-            inst = _Instance(name, "0×Z_2", 2, name,
-                             zero_divisor_graph(catalog_ring(name)))
             out.append(_report(tid, inst, True, False,
                                "no attachment-graph embedding found"))
             continue
         vmap, fiber_quad = found
-        inst = _synthesized(name, 2)
         kb = k4_attachment_bound(inst.graph, fiber_quad)
         out.append(_report(
             tid, inst, True, kb >= 2,

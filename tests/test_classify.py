@@ -167,3 +167,18 @@ def test_wrong_predicate_gives_failing_reports(monkeypatch, answer):
     reports = verify(TheoremId.GENUS_ONE_CLIQUE3)
     failing = [r for r in reports if not r.agreement and not r.inconclusive]
     assert failing and all(r.verdict is answer for r in failing)
+
+
+def test_report_lower_bound_is_the_closed_form_bound():
+    # Euler alone gives 2 on this 12-vertex graph; its K_{4,8} gives 3
+    reports = verify(TheoremId.GENUS_ONE_CLIQUE_LE2)
+    r, = (r for r in reports if (r.ring, r.ideal) == ("Z_8×Z_4", "0×Z_4"))
+    assert r.genus_lower == 3
+    assert r.detail.endswith("subgraph K_{4,8}")
+
+
+def test_attachment_failure_reports_the_synthesized_graph(monkeypatch):
+    monkeypatch.setattr(classify, "_h_embedding", lambda name: None)
+    failures = verify(TheoremId.ATTACHED_K4_GRAPH)[1:]
+    assert failures and all(not r.agreement for r in failures)
+    assert all(r.ideal == "0×Z_2" and r.graph_order == 14 for r in failures)
