@@ -251,20 +251,21 @@ def redmond_planar_predicate(roveri: RingTable, isize: int) -> bool:
     return girth(g) == INF and (isize == 2 or (g.n == 1 and isize <= 4))
 
 
-_CLIQUE_LE2_CASES: tuple[tuple[str, int], ...] = (
-    ("Z_3×Z_3", 2),
-    ("Z_2×Z_2", 4),
-    ("Z_2×Z_3", 3),
-    ("Z_2×Z_4", 2),
-    ("Z_2×Z_2[x]/(x²)", 2),
-    ("Z_4", 7),
-    ("Z_2[x]/(x²)", 7),
-    ("Z_9", 3),
-    ("Z_3[x]/(x²)", 3),
-    ("Z_8", 3),
-    ("Z_2[x]/(x³)", 3),
-    ("Z_4[x]/(x²-2,x³)", 3),
-)
+# listed quotient -> the largest ideal size at which genus stays <= 1
+_CLIQUE_LE2_CAPS: dict[str, int] = {
+    "Z_3×Z_3": 2,
+    "Z_2×Z_2": 4,
+    "Z_2×Z_3": 3,
+    "Z_2×Z_4": 2,
+    "Z_2×Z_2[x]/(x²)": 2,
+    "Z_4": 7,
+    "Z_2[x]/(x²)": 7,
+    "Z_9": 3,
+    "Z_3[x]/(x²)": 3,
+    "Z_8": 3,
+    "Z_2[x]/(x³)": 3,
+    "Z_4[x]/(x²-2,x³)": 3,
+}
 
 _CLIQUE3_TARGETS: tuple[str, ...] = (
     "Z_2×Z_2×Z_2",
@@ -290,10 +291,12 @@ def _z2_cross_field_order(t: RingTable) -> int | None:
     return None
 
 
-def _is_listed(table: RingTable, names: tuple[str, ...]) -> bool:
-    """Whether table is isomorphic to one of the named catalog rings."""
+def _listed_as(table: RingTable, names) -> str | None:
+    """The first of the named catalog rings that table is isomorphic to,
+    or None."""
     identity = _catalog_identity(table)
-    return any(_catalog_identity(catalog_ring(n)) == identity for n in names)
+    return next((n for n in names
+                 if _catalog_identity(catalog_ring(n)) == identity), None)
 
 
 def genus_one_clique_le2_predicate(roveri: RingTable, isize: int) -> bool:
@@ -304,10 +307,9 @@ def genus_one_clique_le2_predicate(roveri: RingTable, isize: int) -> bool:
     if w > 2:
         raise CliqueHypothesisViolated(
             f"clique number {w} > 2 for {roveri.name}")
-    identity = _catalog_identity(roveri)
-    for name, cap in _CLIQUE_LE2_CASES:
-        if _catalog_identity(catalog_ring(name)) == identity:
-            return isize <= cap
+    name = _listed_as(roveri, _CLIQUE_LE2_CAPS)
+    if name is not None:
+        return isize <= _CLIQUE_LE2_CAPS[name]
     q = _z2_cross_field_order(roveri)
     if q is not None and q >= 4:
         return isize <= 2
@@ -321,7 +323,7 @@ def genus_one_clique3_predicate(roveri: RingTable, isize: int) -> bool:
     if w != 3:
         raise CliqueHypothesisViolated(
             f"clique number {w} != 3 for {roveri.name}")
-    return isize == 2 and _is_listed(roveri, _CLIQUE3_TARGETS)
+    return isize == 2 and _listed_as(roveri, _CLIQUE3_TARGETS) is not None
 
 
 def genus_ge2_predicate(roveri: RingTable) -> bool:
@@ -487,69 +489,52 @@ _EXACT_ONE_AT_CAP = {
     "Z_9", "Z_3[x]/(x²)", "Z_8", "Z_2[x]/(x³)", "Z_4[x]/(x²-2,x³)",
 }
 
-_Z2_FIELD_CASES: tuple[tuple[str, int], ...] = (
-    ("Z_2×F_4", 2), ("Z_2×Z_5", 2), ("Z_2×Z_7", 2),
-    ("Z_2×F_8", 2), ("Z_2×F_9", 2),
-)
+_Z2_FIELD_CAPS: dict[str, int] = dict.fromkeys(
+    ("Z_2×F_4", "Z_2×Z_5", "Z_2×Z_7", "Z_2×F_8", "Z_2×F_9"), 2)
 
 
-def _genus_one_positive(
-    tid: TheoremId,
-    name: str,
-    size: int,
-    budget: int,
-    verdict: bool,
-    require_exact_one: bool,
-) -> ClassificationReport:
-    inst = _synthesized(name, size)
-    b = exact_genus(inst.graph, budget)
-    if require_exact_one:
-        fact = (b.lower, b.upper) == (1, 1)
-        claim = "genus exactly 1"
-    else:
-        fact = b.upper is not None and b.upper <= 1
-        claim = "genus at most 1"
-    detail = f"{claim}; " + "; ".join(b.provenance)
-    if b.certificate is not None:
-        detail += f"; certificate with {b.certificate.faces} faces"
-    return _report(tid, inst, verdict, fact, detail, b)
-
-
-def _verify_genus_one_clique_le2(budget: int) -> list[ClassificationReport]:
-    tid = TheoremId.GENUS_ONE_CLIQUE_LE2
-    predicate = genus_one_clique_le2_predicate
+def _genus_one_sweep(tid: TheoremId, predicate, caps: dict[str, int],
+                     exact_at_cap, control: str, budget: int
+                     ) -> list[ClassificationReport]:
+    """Per listed target: genus at most 1 at ideal sizes 2 to its cap,
+    exactly 1 at the cap for those in exact_at_cap, and more than 1 past
+    the cap; then more than 1 for the unlisted control at size 2."""
     out = []
-    for name, cap in _CLIQUE_LE2_CASES + _Z2_FIELD_CASES:
+    for name, cap in caps.items():
         target = catalog_ring(name)
         for size in range(2, cap + 1):
-            exact_one = size == cap and name in _EXACT_ONE_AT_CAP
-            out.append(_genus_one_positive(
-                tid, name, size, budget, predicate(target, size), exact_one))
+            verdict = predicate(target, size)
+            inst = _synthesized(name, size)
+            b = exact_genus(inst.graph, budget)
+            exact = size == cap and name in exact_at_cap
+            fact = ((b.lower, b.upper) == (1, 1) if exact
+                    else b.upper is not None and b.upper <= 1)
+            claim = "genus exactly 1" if exact else "genus at most 1"
+            detail = f"{claim}; " + "; ".join(b.provenance)
+            if b.certificate is not None:
+                detail += f"; certificate with {b.certificate.faces} faces"
+            out.append(_report(tid, inst, verdict, fact, detail, b))
         out.append(_lower_bound_report(
             tid, _synthesized(name, cap + 1), budget, "lower bound via ",
             predicate(target, cap + 1), claims_ge2=False))
-    # non-listed quotient of matching clique number: genus must exceed 1
     out.append(_lower_bound_report(
-        tid, _synthesized("Z_12", 2), budget, "lower bound via ",
-        predicate(catalog_ring("Z_12"), 2), claims_ge2=False))
+        tid, _synthesized(control, 2), budget, "lower bound via ",
+        predicate(catalog_ring(control), 2), claims_ge2=False))
     return out
+
+
+def _verify_genus_one_clique_le2(budget: int) -> list[ClassificationReport]:
+    return _genus_one_sweep(
+        TheoremId.GENUS_ONE_CLIQUE_LE2, genus_one_clique_le2_predicate,
+        {**_CLIQUE_LE2_CAPS, **_Z2_FIELD_CAPS}, _EXACT_ONE_AT_CAP, "Z_12",
+        budget)
 
 
 def _verify_genus_one_clique3(budget: int) -> list[ClassificationReport]:
-    tid = TheoremId.GENUS_ONE_CLIQUE3
-    predicate = genus_one_clique3_predicate
-    out = []
-    for name in _CLIQUE3_TARGETS:
-        target = catalog_ring(name)
-        out.append(_genus_one_positive(
-            tid, name, 2, budget, predicate(target, 2), True))
-        out.append(_lower_bound_report(
-            tid, _synthesized(name, 3), budget, "lower bound via ",
-            predicate(target, 3), claims_ge2=False))
-    out.append(_lower_bound_report(
-        tid, _synthesized("Z_2×Z_9", 2), budget, "lower bound via ",
-        predicate(catalog_ring("Z_2×Z_9"), 2), claims_ge2=False))
-    return out
+    return _genus_one_sweep(
+        TheoremId.GENUS_ONE_CLIQUE3, genus_one_clique3_predicate,
+        dict.fromkeys(_CLIQUE3_TARGETS, 2), _CLIQUE3_TARGETS, "Z_2×Z_9",
+        budget)
 
 
 def _verify_genus_ge2(budget: int) -> list[ClassificationReport]:
@@ -775,7 +760,7 @@ def _verify_triangle_graph_rings(budget: int) -> list[ClassificationReport]:
     for lr in _locals():
         g = lr.inst.graph
         is_triangle = g.n == 3 and g.m == 3
-        listed = _is_listed(lr.table, _TRIANGLE_RINGS)
+        listed = _listed_as(lr.table, _TRIANGLE_RINGS) is not None
         if not (is_triangle or listed):
             continue
         fact = is_triangle and listed and lr.msq_zero

@@ -140,16 +140,7 @@ def resolve_ideal(table: RingTable, selector: str) -> IdealSet:
         wanted = _split_top_level(selector[4:])
         if not wanted:
             raise InvalidSpec("empty generator list")
-        elements = []
-        for label in wanted:
-            matches = [e for e in range(table.order)
-                       if table.labels[e].replace(" ", "") ==
-                       label.replace(" ", "")]
-            if not matches:
-                raise InvalidSpec(
-                    f"no element labeled {label!r} in {table.name}")
-            elements.append(matches[0])
-        return ideal_from_generators(table, elements)
+        return ideal_from_generators(table, map(table.index_of, wanted))
     raise InvalidSpec(f"bad ideal selector {selector!r}; use '#k' or 'gen:...'")
 
 
@@ -223,10 +214,6 @@ def cmd_ideals(args) -> int:
     return 0
 
 
-def _graph_summary(g) -> dict:
-    return {"vertices": g.n, "edges": g.m, **graphs.invariants(g)}
-
-
 def cmd_graph(args) -> int:
     table = resolve_ring(args.ring)
     ideal = resolve_ideal(table, args.ideal)
@@ -234,7 +221,7 @@ def cmd_graph(args) -> int:
     if g.n == 0:  # for a proper ideal, exactly when it is prime
         print(f"warning: {ideal.describe()} is prime; the graph is empty",
               file=sys.stderr)
-    summary = _graph_summary(g)
+    summary = {"vertices": g.n, "edges": g.m, **graphs.invariants(g)}
     if args.format == "dot":
         head = "// " + " ".join(
             f"{k}={_fmt(v)}" for k, v in summary.items())

@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 from .errors import Disconnected, HypothesisNotMet, InvalidSpec, ZdgenusError
 from .graphs import (
+    _CLIQUE_CAP,
     SimpleGraph,
-    _bits,
     bicliques,
     cliques,
     connected_components,
@@ -55,9 +55,9 @@ from .graphs import (
     is_connected,
     clique_number,
     make_graph,
-    remove_vertices,
     twin_quotient,
 )
+from .rings import _elements
 
 
 # === Data types =============================================================
@@ -447,15 +447,15 @@ def subgraph_lower_bound(g: SimpleGraph) -> LowerBound:
         if found and genus_biclique(m, n - 1) > best.value:
             best = LowerBound(genus_biclique(m, n - 1),
                               f"subgraph K_{{{m},{n - 1}}}",
-                              (found[0], _bits(found[1])))
+                              (found[0], _elements(found[1])))
     return best
 
 
 def closed_form_bound(g: SimpleGraph) -> LowerBound:
     """The larger of the Euler and subgraph bounds, Euler on ties.  The
-    subgraph search is skipped above 200 vertices."""
+    subgraph search is skipped above _CLIQUE_CAP vertices."""
     el = euler_lower_bound(g)
-    if g.n <= 200:
+    if g.n <= _CLIQUE_CAP:
         sub = subgraph_lower_bound(g)
         if sub.value > el:
             return sub
@@ -478,7 +478,7 @@ def k4_attachment_bound(g: SimpleGraph, g1_vertices) -> int:
     for v in q:
         if g.adj[v] & ~qmask == 0:
             raise HypothesisNotMet(f"vertex {v} has no edge to the rest")
-    rest = remove_vertices(g, q)
+    rest = induced_subgraph(g, _elements((1 << g.n) - 1 & ~qmask))
     if not is_connected(rest):
         # genus adds over blocks, so a bound summed over the components
         # of the rest is not sound

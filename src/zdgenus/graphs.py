@@ -16,6 +16,9 @@ from .errors import InvalidSpec, MTooLarge, TooLarge, WholeRingIdeal
 from .ideals import IdealSet, _in_ideal
 from .rings import RingTable, _elements
 
+# clique_number refuses larger graphs, and genus skips its subgraph bound
+_CLIQUE_CAP = 200
+
 
 # === Core structure =========================================================
 
@@ -33,7 +36,7 @@ class SimpleGraph:
                 raise InvalidSpec(f"adjacency row {v} out of range")
         if not _symmetric(adj):
             u, v = min((min(u, v), max(u, v)) for u, row in enumerate(adj)
-                       for v in _bits(row) if not adj[v] >> u & 1)
+                       for v in _elements(row) if not adj[v] >> u & 1)
             raise InvalidSpec(f"asymmetric adjacency {u},{v}")
         self.n = n
         self.adj = adj
@@ -50,13 +53,13 @@ class SimpleGraph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
+        return _elements(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
             row = self.adj[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in _bits(row))
+            out.extend((u, v) for v in _elements(row))
         return out
 
     def __repr__(self):
@@ -77,15 +80,6 @@ def _symmetric(adj: tuple[int, ...]) -> bool:
                 return False
             high ^= low
     return 2 * above == sum(row.bit_count() for row in adj)
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def make_graph(n: int, edges, labels=None) -> SimpleGraph:
@@ -126,11 +120,6 @@ def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
     return make_graph(
         len(verts), edges, tuple(g.labels[v] for v in verts)
     )
-
-
-def remove_vertices(g: SimpleGraph, vertices) -> SimpleGraph:
-    drop = set(vertices)
-    return induced_subgraph(g, [v for v in range(g.n) if v not in drop])
 
 
 # === Zero-divisor graphs ====================================================
@@ -225,7 +214,7 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
     rest = (1 << g.n) - 1
     while rest:
         comp = _reach(g, (rest & -rest).bit_length() - 1)[0]
-        comps.append(_bits(comp))
+        comps.append(_elements(comp))
         rest &= ~comp
     return comps
 
@@ -285,8 +274,9 @@ def girth(g: SimpleGraph):
 
 def clique_number(g: SimpleGraph) -> int:
     """Exact maximum clique size by branch and bound; 0 for the empty graph."""
-    if g.n > 200:
-        raise TooLarge(f"clique search capped at 200 vertices, got {g.n}")
+    if g.n > _CLIQUE_CAP:
+        raise TooLarge(
+            f"clique search capped at {_CLIQUE_CAP} vertices, got {g.n}")
     if g.n == 0:
         return 0
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -326,7 +316,7 @@ def cliques(g: SimpleGraph, r: int):
         if len(chosen) == r:
             yield list(chosen)
         elif cands.bit_count() >= r - len(chosen):
-            for v in _bits(cands):
+            for v in _elements(cands):
                 chosen.append(v)
                 yield from grow(chosen, cands & g.adj[v] >> (v + 1) << (v + 1))
                 chosen.pop()
@@ -370,7 +360,7 @@ def find_biclique(g: SimpleGraph, m: int, n: int):
     if m < 1 or n < 1 or m + n > g.n:
         return None
     for side, common in bicliques(g, m, lambda c: c.bit_count() >= n):
-        return side, _bits(common)[:n]
+        return side, _elements(common)[:n]
     return None
 
 

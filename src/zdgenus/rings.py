@@ -217,7 +217,10 @@ class RingTable:
         self.one = one
         self.labels = labels
         self.name = name
-        self._label_index = {s: i for i, s in enumerate(labels)}
+        # labels match with spaces ignored; on a clash the first one wins
+        self._label_index = {}
+        for i, s in enumerate(labels):
+            self._label_index.setdefault(s.replace(" ", ""), i)
 
     def neg(self, a: int) -> int:
         return self.add[a].index(self.zero)
@@ -233,9 +236,11 @@ class RingTable:
         return out
 
     def index_of(self, label: str) -> int:
-        if label not in self._label_index:
-            raise KeyError(f"no element labeled {label!r} in {self.name}")
-        return self._label_index[label]
+        """Index of the element labeled label, spaces ignored."""
+        i = self._label_index.get(label.replace(" ", ""))
+        if i is None:
+            raise InvalidSpec(f"no element labeled {label!r} in {self.name}")
+        return i
 
     def __repr__(self):
         return f"RingTable({self.name or 'unnamed'}, order={self.order})"
@@ -589,9 +594,7 @@ def _build_quotient(spec: RingSpec) -> tuple[RingTable, list[int]]:
     eng = _QuotientEngine(spec)
     basis = eng.basis()
     moduli = [eng.modulus(m) for m in basis]
-    order = prod(moduli)
-    if order > MAX_ORDER:
-        raise InvalidSpec(f"ring order {order} exceeds maximum {MAX_ORDER}")
+    order = prod(moduli)  # at most MAX_ORDER, or basis() refused it
     weights = dict(zip(basis, itertools.accumulate([1, *moduli[:-1]],
                                                    lambda w, d: w * d)))
 

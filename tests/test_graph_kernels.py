@@ -26,7 +26,8 @@ from zdgenus import (
 )
 from zdgenus.catalog import catalog_entries
 from zdgenus.errors import InvalidSpec
-from zdgenus.graphs import _bits, connected_components
+from zdgenus.graphs import connected_components
+from zdgenus.rings import _elements
 
 
 # === Oracles ================================================================
@@ -44,7 +45,7 @@ def _ref_bfs_dist(g, src, skip_edge=None):
             row = g.adj[u]
             if skip_edge is not None and u in skip_edge:
                 row &= ~(1 << skip_edge[u])
-            for v in _bits(row):
+            for v in _elements(row):
                 if dist[v] is inf:
                     dist[v] = d
                     nxt.append(v)

@@ -87,6 +87,14 @@ def test_power_and_neg(z8):
     assert z8.index_of("6") == 6
 
 
+def test_index_of_ignores_spaces_and_refuses_unknown_labels():
+    t = product_tables(build_ring(zmod(2)), build_ring(zmod(3)))
+    assert t.index_of("(1,0)") == t.index_of("(1, 0)")
+    assert t.labels[t.index_of("(1,0)")] == "(1, 0)"
+    with pytest.raises(InvalidSpec, match="no element labeled"):
+        t.index_of("(2, 0)")
+
+
 def test_quotient_algebra_f4():
     t = build_ring(gf(2, 2))
     a = t.index_of("a")
@@ -178,6 +186,12 @@ def test_product_order_cap():
     with pytest.raises(InvalidSpec):
         product_tables(big, build_ring(zmod(3)))
     assert product_tables(big, build_ring(zmod(2))).order == MAX_ORDER
+
+
+def test_quotient_order_cap():
+    # x^7 = 0 over Z_2 leaves the 7 monomials 1, x, ..., x^6: order 128
+    with pytest.raises(InvalidSpec, match="exceeds the supported maximum"):
+        build_ring(quotient_algebra(2, ("x",), [("x^7", "0")], "big"))
 
 
 def test_iso_check_positive():

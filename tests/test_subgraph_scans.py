@@ -22,7 +22,8 @@ from zdgenus.catalog import catalog_pairs
 from zdgenus.cli import resolve_ideal, resolve_ring
 from zdgenus.errors import HypothesisNotMet, MTooLarge
 from zdgenus.genus import _k4_scan
-from zdgenus.graphs import _bits, bicliques, clique_number, cliques
+from zdgenus.graphs import bicliques, clique_number, cliques
+from zdgenus.rings import _elements
 
 
 # === References: the scans before cliques and bicliques ====================
@@ -37,7 +38,7 @@ def ref_find_complete_subgraph(g, r):
             return list(chosen)
         if cands.bit_count() < r - len(chosen):
             return None
-        for v in _bits(cands):
+        for v in _elements(cands):
             chosen.append(v)
             above = ~((1 << (v + 1)) - 1)
             hit = grow(chosen, cands & g.adj[v] & above)
@@ -60,7 +61,7 @@ def ref_find_biclique(g, m, n):
             common &= g.adj[v]
         common &= ~sum(1 << v for v in a)
         if common.bit_count() >= n:
-            return list(a), _bits(common)[:n]
+            return list(a), _elements(common)[:n]
     return None
 
 
