@@ -565,7 +565,10 @@ class _Embedder:
     adding a handle.  Same-face pairs are tried before cross pairs, and
     cross pairs only below the target genus.  The walk is depth-first and
     recursive, one frame per step, and each node tried is charged to the
-    shared budget cell."""
+    shared budget cell.  Face ids are a stack topped by fresh: a placement
+    takes one, or two when it splits a face, and its frame holds the
+    corners, the old face at each as (corner, id) and the split flag, so
+    undo gives the ids back and re-traces the old faces under their ids."""
 
     def __init__(self, g: SimpleGraph, budget: list[int], steps):
         self.g = g
@@ -582,21 +585,25 @@ class _Embedder:
 
     def _retrace(self, start: int, fid: int):
         face, nxt = self.face, self.nxt
-        changed = []
         d = start
         while True:
-            changed.append((d, face[d]))
             face[d] = fid
             d = nxt[d ^ 1]
             if d == start:
-                return changed
+                return
 
     def _place(self, step, c_v, c_u):
         """Insert the step's edge after dart c_v at v and c_u at u, a None
         corner starting that vertex's rotation; returns the undo frame."""
         v, u, a, _ = step
         b = a ^ 1
-        nxt = self.nxt
+        face, nxt = self.face, self.nxt
+        # the face of the corner after dart c is face[nxt[c]]
+        old = [(c, face[nxt[c]]) for c in (c_v, c_u) if c is not None]
+        split = len(old) == 2 and old[0][1] == old[1][1]
+        if split:
+            del old[1]
+        self.gcur += len(old) == 2  # two faces merge: one more handle
         for d, c in ((a, c_v), (b, c_u)):
             if c is None:
                 nxt[d] = d
@@ -604,33 +611,27 @@ class _Embedder:
                 nxt[d] = nxt[c]
                 nxt[c] = d
         self.fresh += 1
-        changed = self._retrace(a, self.fresh)
-        handle = False
-        if self.face[b] != self.fresh:
-            # b is not on a's face: the edge split one face in two
+        self._retrace(a, self.fresh)
+        if split:
             self.fresh += 1
-            changed += self._retrace(b, self.fresh)
-        elif c_v is not None:
-            # a and b on one face after joining two corners: two faces
-            # merged, one more handle
-            handle = True
-            self.gcur += 1
+            self._retrace(b, self.fresh)
         self.darts_at[v].append(a)
         self.darts_at[u].append(b)
-        return c_v, c_u, changed, handle
+        return c_v, c_u, old, split
 
     def _undo(self, step, frame):
         v, u, a, _ = step
-        c_v, c_u, changed, handle = frame
+        c_v, c_u, old, split = frame
         self.darts_at[u].pop()
         self.darts_at[v].pop()
-        for d, old in reversed(changed):
-            self.face[d] = old
-        self.gcur -= handle
         if c_u is not None:
             self.nxt[c_u] = self.nxt[a ^ 1]
         if c_v is not None:
             self.nxt[c_v] = self.nxt[a]
+        self.fresh -= 1 + split
+        self.gcur -= len(old) == 2
+        for c, fid in old:
+            self._retrace(self.nxt[c], fid)
 
     def _capture(self) -> RotationSystem:
         order = []

@@ -217,10 +217,6 @@ class RingTable:
         self.one = one
         self.labels = labels
         self.name = name
-        # labels match with spaces ignored; on a clash the first one wins
-        self._label_index = {}
-        for i, s in enumerate(labels):
-            self._label_index.setdefault(s.replace(" ", ""), i)
 
     def neg(self, a: int) -> int:
         return self.add[a].index(self.zero)
@@ -236,11 +232,12 @@ class RingTable:
         return out
 
     def index_of(self, label: str) -> int:
-        """Index of the element labeled label, spaces ignored."""
-        i = self._label_index.get(label.replace(" ", ""))
-        if i is None:
-            raise InvalidSpec(f"no element labeled {label!r} in {self.name}")
-        return i
+        """Index of the first element labeled label, spaces ignored."""
+        key = label.replace(" ", "")
+        for i, s in enumerate(self.labels):
+            if s.replace(" ", "") == key:
+                return i
+        raise InvalidSpec(f"no element labeled {label!r} in {self.name}")
 
     def __repr__(self):
         return f"RingTable({self.name or 'unnamed'}, order={self.order})"

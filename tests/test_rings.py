@@ -95,6 +95,15 @@ def test_index_of_ignores_spaces_and_refuses_unknown_labels():
         t.index_of("(2, 0)")
 
 
+def test_index_of_takes_the_first_of_labels_equal_up_to_spaces():
+    # Z_2 with labels that differ only in their spaces
+    t = RingTable(2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, 1,
+                  ("a b", "ab"), "clash")
+    assert t.index_of("ab") == 0
+    assert t.index_of("a b") == 0
+    assert t.index_of(" a  b ") == 0
+
+
 def test_quotient_algebra_f4():
     t = build_ring(gf(2, 2))
     a = t.index_of("a")

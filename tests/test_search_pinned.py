@@ -126,6 +126,32 @@ def test_atlas_search_effort(monkeypatch):
     assert (len(charged), sum(charged)) == ATLAS_SEARCH_EFFORT
 
 
+def test_exhausted_level_gives_every_face_id_back():
+    g = EXHAUSTS_GENUS_1
+    emb = genus_module._Embedder(g, [10**9], genus_module._build_steps(g))
+    assert not emb.search(1)
+    assert (emb.fresh, emb.gcur) == (0, 0)
+    assert emb.darts_at == [[] for _ in range(g.n)]
+
+
+def test_face_ids_stay_within_twice_the_steps():
+    g = complete_multipartite(2, 2, 2, 2, 2)
+    steps = genus_module._build_steps(g)
+    emb = genus_module._Embedder(g, [10**5], steps)
+    top = [0]
+    retrace = emb._retrace
+
+    def record(start, fid):
+        top[0] = max(top[0], fid)
+        return retrace(start, fid)
+
+    emb._retrace = record
+    # genus 3 takes about 2 M nodes here, so the walk runs out first
+    with pytest.raises(genus_module._OutOfBudget):
+        emb.search(3)
+    assert 0 < top[0] <= 2 * len(steps)
+
+
 def test_over_cap_graph_is_bounded_without_a_search():
     # K_50 has 1 225 edges, more than the default recursion limit of 1 000
     # frames, so a search allowed past the cap must bound its depth first
