@@ -8,11 +8,11 @@ Every quotient entry, the fields F_4, F_8 and F_9 included, keeps its
 original generators verbatim so tests can certify the completion against
 them.
 
-Tags group entries for the classification sweeps:
+Each tag names a property that every entry carrying it has:
   planar-local     local rings whose zero-divisor graph is planar
   genus-one-local  local rings whose zero-divisor graph has genus one
   two-max          rings with exactly two maximal ideals and planar graph
-  zmod             the Z_n sweep
+  zmod             the rings Z_n
   field            finite fields
   product          direct products
 """
@@ -189,9 +189,11 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
                   ("Z_2", "Z_2[x]/(x²)"), ("Z_2", "Z_2[x]/(x³)"),
                   ("Z_2", "Z_4[x]/(x²-2,x³)"), ("Z_2", "Z_8"),
                   ("Z_3", "Z_9"), ("Z_3", "Z_3[x]/(x²)"), ("Z_3", "Z_4"),
-                  ("Z_3", "Z_2[x]/(x²)"), ("Z_2", "Z_2", "Z_2"),
-                  ("Z_2", "Z_2", "Z_3")]:
+                  ("Z_3", "Z_2[x]/(x²)")]:
         entries.append(_p([spec[n] for n in names], tm))
+    # products of three fields, with three maximal ideals
+    for names in [("Z_2", "Z_2", "Z_2"), ("Z_2", "Z_2", "Z_3")]:
+        entries.append(_p([spec[n] for n in names], set()))
 
     # Z_2×Z_3 is listed twice, as equal entries
     return tuple({e.name: e for e in entries}.values())

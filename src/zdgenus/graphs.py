@@ -273,32 +273,15 @@ def girth(g: SimpleGraph):
 
 
 def clique_number(g: SimpleGraph) -> int:
-    """Exact maximum clique size by branch and bound; 0 for the empty graph."""
+    """The largest r that `cliques` reaches, so one enumerator answers
+    every clique question; 0 for the empty graph."""
     if g.n > _CLIQUE_CAP:
         raise TooLarge(
             f"clique search capped at {_CLIQUE_CAP} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best = 0
-
-    def grow(size: int, cands: int):
-        nonlocal best
-        if size + cands.bit_count() <= best:
-            return
-        if cands == 0:
-            best = max(best, size)
-            return
-        for v in order:
-            if not (cands >> v & 1):
-                continue
-            grow(size + 1, cands & g.adj[v])
-            cands &= ~(1 << v)
-            if size + cands.bit_count() <= best:
-                return
-
-    grow(0, (1 << g.n) - 1)
-    return best
+    r = 0
+    while find_complete_subgraph(g, r + 1) is not None:
+        r += 1
+    return r
 
 
 def invariants(g: SimpleGraph) -> dict:

@@ -29,7 +29,7 @@ from zdgenus import (
     zero_divisor_graph,
 )
 from zdgenus.catalog import catalog_entries, catalog_pairs
-from zdgenus.errors import InvalidSpec
+from zdgenus.errors import InvalidSpec, TooLarge
 from zdgenus.graphs import twin_quotient
 from zdgenus.ideals import quotient
 from zdgenus.rings import MAX_ORDER, zero_divisors
@@ -184,6 +184,10 @@ def test_clique_number():
     assert clique_number(complete_graph(6)) == 6
     assert clique_number(complete_bipartite(3, 3)) == 2
     assert clique_number(complete_multipartite(2, 2, 2)) == 3
+    assert clique_number(make_graph(3, [])) == 1
+    assert clique_number(complete_graph(200)) == 200
+    with pytest.raises(TooLarge, match="capped at 200 vertices, got 201"):
+        clique_number(make_graph(201, []))
 
 
 def test_subgraph_search():

@@ -20,9 +20,9 @@ from zdgenus import (
 )
 from zdgenus.catalog import catalog_pairs
 from zdgenus.cli import resolve_ideal, resolve_ring
-from zdgenus.errors import HypothesisNotMet, MTooLarge
+from zdgenus.errors import HypothesisNotMet, MTooLarge, TooLarge
 from zdgenus.genus import _k4_scan
-from zdgenus.graphs import bicliques, clique_number, cliques
+from zdgenus.graphs import _CLIQUE_CAP, bicliques, clique_number, cliques
 from zdgenus.rings import _elements
 
 
@@ -48,6 +48,35 @@ def ref_find_complete_subgraph(g, r):
         return None
 
     return grow([], (1 << g.n) - 1)
+
+
+def ref_clique_number(g):
+    """Exact maximum clique size by branch and bound; 0 for the empty graph."""
+    if g.n > _CLIQUE_CAP:
+        raise TooLarge(
+            f"clique search capped at {_CLIQUE_CAP} vertices, got {g.n}")
+    if g.n == 0:
+        return 0
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    best = 0
+
+    def grow(size, cands):
+        nonlocal best
+        if size + cands.bit_count() <= best:
+            return
+        if cands == 0:
+            best = max(best, size)
+            return
+        for v in order:
+            if not (cands >> v & 1):
+                continue
+            grow(size + 1, cands & g.adj[v])
+            cands &= ~(1 << v)
+            if size + cands.bit_count() <= best:
+                return
+
+    grow(0, (1 << g.n) - 1)
+    return best
 
 
 def ref_find_biclique(g, m, n):
@@ -87,7 +116,7 @@ def ref_max_biclique_n(g, m):
 def ref_subgraph_lower_bound(g):
     """(value, source, witness), the witness re-found by the reference
     biclique scan."""
-    w = clique_number(g)
+    w = ref_clique_number(g)
     best = genus_complete(w), f"subgraph K_{w}", None
     for m in (3, 4, 5):
         if g.n < m + 3 or genus_biclique(m, g.n - m) <= best[0]:
@@ -222,6 +251,7 @@ def test_bicliques_grow_only_passing_prefixes(g, m, n):
 
 
 def scans_agree(g):
+    assert clique_number(g) == ref_clique_number(g)
     for r in range(6):
         assert find_complete_subgraph(g, r) == ref_find_complete_subgraph(g, r)
     for m in range(1, 6):
