@@ -565,10 +565,11 @@ class _Embedder:
     adding a handle.  Same-face pairs are tried before cross pairs, and
     cross pairs only below the target genus.  The walk is depth-first and
     recursive, one frame per step, and each node tried is charged to the
-    shared budget cell.  Face ids are a stack topped by fresh: a placement
-    takes one, or two when it splits a face, and its frame holds the
-    corners, the old face at each as (corner, id) and the split flag, so
-    undo gives the ids back and re-traces the old faces under their ids."""
+    shared budget cell.  Face ids are a stack topped by fresh: a move
+    takes one id, or two when it splits a face.  Each move carries the
+    faces it replaces as (corner, id) pairs, and one frame places it,
+    recurses and undoes it: the ids go back and the old faces are
+    re-traced under them, with no undo frame."""
 
     def __init__(self, g: SimpleGraph, budget: list[int], steps):
         self.g = g
@@ -591,47 +592,6 @@ class _Embedder:
             d = nxt[d ^ 1]
             if d == start:
                 return
-
-    def _place(self, step, c_v, c_u):
-        """Insert the step's edge after dart c_v at v and c_u at u, a None
-        corner starting that vertex's rotation; returns the undo frame."""
-        v, u, a, _ = step
-        b = a ^ 1
-        face, nxt = self.face, self.nxt
-        # the face of the corner after dart c is face[nxt[c]]
-        old = [(c, face[nxt[c]]) for c in (c_v, c_u) if c is not None]
-        split = len(old) == 2 and old[0][1] == old[1][1]
-        if split:
-            del old[1]
-        self.gcur += len(old) == 2  # two faces merge: one more handle
-        for d, c in ((a, c_v), (b, c_u)):
-            if c is None:
-                nxt[d] = d
-            else:
-                nxt[d] = nxt[c]
-                nxt[c] = d
-        self.fresh += 1
-        self._retrace(a, self.fresh)
-        if split:
-            self.fresh += 1
-            self._retrace(b, self.fresh)
-        self.darts_at[v].append(a)
-        self.darts_at[u].append(b)
-        return c_v, c_u, old, split
-
-    def _undo(self, step, frame):
-        v, u, a, _ = step
-        c_v, c_u, old, split = frame
-        self.darts_at[u].pop()
-        self.darts_at[v].pop()
-        if c_u is not None:
-            self.nxt[c_u] = self.nxt[a ^ 1]
-        if c_v is not None:
-            self.nxt[c_v] = self.nxt[a]
-        self.fresh -= 1 + split
-        self.gcur -= len(old) == 2
-        for c, fid in old:
-            self._retrace(self.nxt[c], fid)
 
     def _capture(self) -> RotationSystem:
         order = []
@@ -662,47 +622,78 @@ class _Embedder:
             self.budget[0] = self.left
 
     def _rec(self, si: int) -> bool:
-        """Try each corner pair of step si and recurse; True once the last
-        step is placed.  At the target genus no handle is left, so the step
-        fails at once when v shares no face with the far end of one of its
+        """Try each move (c_v, c_u, old) of step si and recurse; True once
+        the last step is placed.  The edge goes after dart c_v at v and c_u
+        at u, a None corner starting that vertex's rotation; old lists the
+        faces it replaces as (corner, id), none or one for a first edge,
+        one for a split and two for a merge.  The ids are read before any
+        move is tried and still hold at each, since undo restores every
+        face id.  At the target genus no handle is left, so the step fails
+        at once when v shares no face with the far end of one of its
         remaining edges."""
         if si == len(self.steps):
             self.found = self._capture()
             return True
-        step = self.steps[si]
-        v, u, _, first = step
+        v, u, a, first = self.steps[si]
+        b = a ^ 1
+        # the face of the corner after dart d is face[nxt[d]]
+        face, nxt = self.face, self.nxt
+        darts_v, darts_u = self.darts_at[v], self.darts_at[u]
         if first:
-            pairs = [(None, c_u) for c_u in self.darts_at[u] or [None]]
+            moves = [(None, c_u, [(c_u, face[nxt[c_u]])])
+                     for c_u in darts_u] or [(None, None, [])]
         else:
-            # the face of the corner after dart d is face[nxt[d]]
-            face, nxt = self.face, self.nxt
             if self.gcur == self.target:
-                fv = {face[nxt[d]] for d in self.darts_at[v]}
+                fv = {face[nxt[d]] for d in darts_v}
                 j = si
                 while j < len(self.steps) and self.steps[j][0] == v:
                     fu = {face[nxt[d]] for d in self.darts_at[self.steps[j][1]]}
                     if fv.isdisjoint(fu):
                         return False
                     j += 1
-            pairs, cross = [], []
+            moves, cross = [], []
             allow_cross = self.gcur < self.target
-            corners_u = [(c_u, face[nxt[c_u]]) for c_u in self.darts_at[u]]
-            for c_v in self.darts_at[v]:
+            corners_u = [(c_u, face[nxt[c_u]]) for c_u in darts_u]
+            for c_v in darts_v:
                 f_v = face[nxt[c_v]]
                 for c_u, f_u in corners_u:
                     if f_v == f_u:
-                        pairs.append((c_v, c_u))
+                        moves.append((c_v, c_u, [(c_v, f_v)]))
                     elif allow_cross:
-                        cross.append((c_v, c_u))
-            pairs += cross
-        for c_v, c_u in pairs:
+                        cross.append((c_v, c_u, [(c_v, f_v), (c_u, f_u)]))
+            moves += cross
+        for c_v, c_u, old in moves:
             self.left -= 1
             if self.left < 0:
                 raise _OutOfBudget
-            frame = self._place(step, c_v, c_u)
+            merge = len(old) == 2  # two faces merge: one more handle
+            split = c_v is not None and not merge
+            for d, c in ((a, c_v), (b, c_u)):
+                if c is None:
+                    nxt[d] = d
+                else:
+                    nxt[d] = nxt[c]
+                    nxt[c] = d
+            self.gcur += merge
+            self.fresh += 1
+            self._retrace(a, self.fresh)
+            if split:
+                self.fresh += 1
+                self._retrace(b, self.fresh)
+            darts_v.append(a)
+            darts_u.append(b)
             if self._rec(si + 1):
                 return True
-            self._undo(step, frame)
+            darts_u.pop()
+            darts_v.pop()
+            if c_u is not None:
+                nxt[c_u] = nxt[b]
+            if c_v is not None:
+                nxt[c_v] = nxt[a]
+            self.fresh -= 1 + split
+            self.gcur -= merge
+            for c, fid in old:
+                self._retrace(nxt[c], fid)
         return False
 
 

@@ -134,6 +134,29 @@ def test_exhausted_level_gives_every_face_id_back():
     assert emb.darts_at == [[] for _ in range(g.n)]
 
 
+def test_failed_step_leaves_every_placed_face_as_it_found_it():
+    """A step's moves carry face ids read before any of them is tried, so
+    each move undone must give back the faces and rotations it found."""
+    g = EXHAUSTS_GENUS_1
+    emb = genus_module._Embedder(g, [10**9], genus_module._build_steps(g))
+    rec = emb._rec
+    failed = [0]
+
+    def checked(si):
+        placed = 2 * si  # steps before si own darts 0 .. 2si - 1
+        before = (emb.face[:placed], emb.nxt[:placed], emb.gcur, emb.fresh)
+        if rec(si):
+            return True
+        after = (emb.face[:placed], emb.nxt[:placed], emb.gcur, emb.fresh)
+        assert after == before, f"step {si}"
+        failed[0] += 1
+        return False
+
+    emb._rec = checked
+    assert not emb.search(1)
+    assert failed[0] > 1
+
+
 def test_face_ids_stay_within_twice_the_steps():
     g = complete_multipartite(2, 2, 2, 2, 2)
     steps = genus_module._build_steps(g)
