@@ -267,14 +267,14 @@ _CLIQUE_LE2_CAPS: dict[str, int] = {
     "Z_4[x]/(x²-2,x³)": 3,
 }
 
-_CLIQUE3_TARGETS: tuple[str, ...] = (
-    "Z_2×Z_2×Z_2",
-    "Z_16",
+_TRIANGLE_RINGS: tuple[str, ...] = (
     "Z_2[x,y]/(x²,xy,y²)",
     "Z_4[x]/(2x,x²)",
     "F_4[x]/(x²)",
     "Z_4[x]/(x²+x+1)",
 )
+
+_CLIQUE3_TARGETS: tuple[str, ...] = ("Z_2×Z_2×Z_2", "Z_16", *_TRIANGLE_RINGS)
 
 
 def _z2_cross_field_order(t: RingTable) -> int | None:
@@ -744,14 +744,6 @@ def _verify_triple_product_genus(budget: int) -> list[ClassificationReport]:
             tid, doubled, budget, "doubled graph lower bound via ", False,
             claims_ge2=False))
     return out
-
-
-_TRIANGLE_RINGS: tuple[str, ...] = (
-    "Z_2[x,y]/(x²,xy,y²)",
-    "Z_4[x]/(2x,x²)",
-    "F_4[x]/(x²)",
-    "Z_4[x]/(x²+x+1)",
-)
 
 
 def _verify_triangle_graph_rings(budget: int) -> list[ClassificationReport]:

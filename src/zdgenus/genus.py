@@ -29,10 +29,11 @@ witness-first made those searches longer (892 to 56 989 nodes for one
 K_{3,7}-certified class), so every other graph keeps the vertex order.
 
 Planarity is decided here, with no graph library: an Euler edge count,
-then each biconnected block by the path-addition test of Demoucron,
-Malgrange & Pertuiset.  Both verdicts are checked where exact_genus uses
-them.  A planar verdict comes with a rotation system that face_trace must
-trace to genus 0.  A nonplanar verdict that is the only source of the lower
+then each biconnected block, a single edge included, by the path-addition
+test of Demoucron, Malgrange & Pertuiset grown from the block's first
+edge.  Both verdicts are checked where exact_genus uses them.  A planar
+verdict comes with a rotation system that face_trace must trace to
+genus 0.  A nonplanar verdict that is the only source of the lower
 bound 1 is backed by a Kuratowski witness, a subdivision of K_5 or K_{3,3}
 found by edge deletion and verified by check_kuratowski.
 """
@@ -125,19 +126,14 @@ def is_planar(g: SimpleGraph) -> bool:
 def planar_rotation(g: SimpleGraph) -> RotationSystem | None:
     """Rotation system of a planar embedding; None if g is not planar.
 
-    Each biconnected block is embedded on its own (_block_faces) and the
-    blocks' rotations are joined at cut vertices by concatenation, which
-    puts each block into one corner of the others."""
+    Each biconnected block, a single edge included, is embedded on its own
+    (_block_faces) and the blocks' rotations are joined at cut vertices by
+    concatenation, which puts each block into one corner of the others."""
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return None
     nbrs = [g.neighbors(v) for v in range(g.n)]
     order: list[list[int]] = [[] for _ in range(g.n)]
     for block in _blocks(nbrs):
-        if len(block) == 1:
-            (u, v), = block
-            order[u].append(v)
-            order[v].append(u)
-            continue
         faces = _block_faces(block)
         if faces is None:
             return None
@@ -196,37 +192,30 @@ def _blocks(nbrs: list[list[int]]) -> list[list[tuple[int, int]]]:
 
 
 def _block_faces(edges: list[tuple[int, int]]) -> list[list[int]] | None:
-    """Faces of a plane embedding of a biconnected block with a cycle, each
-    an oriented vertex cycle; None if the block is nonplanar.
+    """Faces of a plane embedding of a biconnected block, each an oriented
+    vertex cycle; None if the block is nonplanar.
 
-    The path-addition test of Demoucron, Malgrange & Pertuiset (1964):
-    start from a cycle; a fragment of the rest is an unplaced edge between
-    placed vertices, or a component of the unplaced vertices with its edges
-    to the placed ones, and a face admits it when the face holds all its
-    contact vertices.  A fragment no face admits makes the block
-    nonplanar; otherwise a contact-to-contact path of a fragment with the
-    fewest admissible faces is drawn across one of them, splitting it."""
+    The path-addition test of Demoucron, Malgrange & Pertuiset (1964),
+    started from the block's first edge (a, b) as the one face [a, b], so a
+    single-edge block is done at once.  A fragment of the rest is an
+    unplaced edge between placed vertices, or a component of the unplaced
+    vertices with its edges to the placed ones, and a face admits it when
+    the face holds all its contact vertices.  A fragment no face admits
+    makes the block nonplanar; otherwise a contact-to-contact path of a
+    fragment with the fewest admissible faces is drawn across one of them,
+    splitting it.  A block has no cut vertex, so every fragment of the
+    first pass has both contacts a and b, and its path closes the first
+    cycle."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    if len(edges) > 3 * len(adj) - 6:
+    if len(adj) > 2 and len(edges) > 3 * len(adj) - 6:
         return None
     a, b = edges[0]
-    prev = {b: b}
-    queue = [b]
-    for x in queue:
-        for y in adj[x]:
-            if y not in prev and (x, y) != (b, a):
-                prev[y] = x
-                queue.append(y)
-    cycle = [a]
-    while cycle[-1] != b:
-        cycle.append(prev[cycle[-1]])
-    faces = [cycle, cycle[::-1]]
-    masks = [_mask(cycle)] * 2
+    faces, masks = [[a, b]], [_mask((a, b))]
     placed = masks[0]
-    drawn = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    drawn = {frozenset((a, b))}
     while len(drawn) < len(edges):
         best = None
         for contacts, chord, comp in _fragments(adj, placed, drawn):

@@ -21,6 +21,8 @@ from zdgenus.catalog import catalog_pairs
 from zdgenus.errors import ZdgenusError
 from zdgenus.genus import (
     RotationSystem,
+    _block_faces,
+    _blocks,
     check_kuratowski,
     kuratowski_subdivision,
     planar_rotation,
@@ -115,6 +117,39 @@ def test_subdivided_kuratowski_graphs_are_nonplanar(k5, lengths, extra, rng):
             edges.append((u, v))
     g = relabelled(n, edges, rng)
     assert check_against_networkx(g) in ("K_5", "K_{3,3}")
+
+
+def test_single_edge_block_is_one_face():
+    assert _block_faces([(0, 1)]) == [[0, 1]]
+
+
+def test_triangle_block_is_two_opposite_faces():
+    def cyclic(face):
+        k = face.index(min(face))
+        return face[k:] + face[:k]
+
+    one, two = _block_faces([(0, 1), (1, 2), (0, 2)])
+    assert cyclic(one) == cyclic(two[::-1])
+
+
+def block_order(g):
+    """Each vertex's neighbours in the order of its edges in _blocks."""
+    order = [[] for _ in range(g.n)]
+    for block in _blocks([g.neighbors(v) for v in range(g.n)]):
+        for u, v in block:
+            order[u].append(v)
+            order[v].append(u)
+    return tuple(map(tuple, order))
+
+
+def test_star_rotation_lists_neighbours_in_block_order():
+    star = make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert planar_rotation(star).order == block_order(star)
+
+
+def test_path_rotation_lists_neighbours_in_block_order():
+    path = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert planar_rotation(path).order == block_order(path)
 
 
 def test_unchecked_nonplanar_verdict_raises(monkeypatch):
