@@ -22,7 +22,7 @@ are parsed by rings' own recursive descent, without ast.
 import importlib.util
 import sys
 
-from .catalog import catalog, catalog_entries, catalog_ring, find_catalog
+from .catalog import catalog_entries, catalog_ring, find_catalog
 from .errors import (
     CliqueHypothesisViolated,
     HypothesisNotMet,

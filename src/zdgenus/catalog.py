@@ -204,10 +204,6 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
     return _build_entries()
 
 
-def catalog() -> list[tuple[str, RingSpec]]:
-    return [(e.name, e.spec) for e in catalog_entries()]
-
-
 _SUPERSCRIPTS = str.maketrans(
     {"²": "^2", "³": "^3", "⁴": "^4", "⁵": "^5", "×": "x"}
 )

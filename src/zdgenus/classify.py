@@ -97,7 +97,8 @@ class ClassificationReport(NamedTuple):
     verdict is what the classification fact predicts for the instance, fact
     is what direct computation observed, and the instance agrees when the two
     coincide.  inconclusive flags instances whose genus question could not be
-    settled within budget; such reports never count as agreement.
+    settled, by the search within budget or by a closed-form bound; such
+    reports never count as agreement.
     """
 
     theorem: str
@@ -200,27 +201,17 @@ def _report(
 
 
 def _lower_bound_report(
-    theorem: TheoremId, inst: _Instance, budget: int, detail: str,
+    theorem: TheoremId, inst: _Instance, detail: str,
     verdict: bool = True, claims_ge2: bool = True,
 ) -> ClassificationReport:
     """Report on the claim that inst's graph has genus at least 2
     (claims_ge2) or at most 1 (not claims_ge2), observed through the
-    closed-form bound, or the exhaustive search when that stays below 2;
-    the bound's source is appended to detail.  Open when no bound is
-    certified."""
+    closed-form bound alone; the bound's source is appended to detail.
+    When the bound stays below 2 the report is open: only a search could
+    decide either claim, so it neither agrees nor fails."""
     lo, source, _ = closed_form_bound(inst.graph)
-    if lo < 2:
-        b = exact_genus(inst.graph, budget)
-        if b.lower >= 2:
-            lo, source = b.lower, "exhaustive search: " + "; ".join(
-                b.provenance)
-        elif b.upper is None:
-            lo, source = None, "inconclusive: " + "; ".join(b.provenance)
-        else:
-            lo, source = b.upper, "exact genus " + str(b.upper)
-    ge2 = lo is not None and lo >= 2
-    return _report(theorem, inst, verdict, ge2 == claims_ge2,
-                   detail + source, lower=lo, inconclusive=lo is None)
+    return _report(theorem, inst, verdict, (lo >= 2) == claims_ge2,
+                   detail + source, lower=lo, inconclusive=lo < 2)
 
 
 # weak keys, so that a table the caller drops is not kept alive here
@@ -515,10 +506,10 @@ def _genus_one_sweep(tid: TheoremId, predicate, caps: dict[str, int],
                 detail += f"; certificate with {b.certificate.faces} faces"
             out.append(_report(tid, inst, verdict, fact, detail, b))
         out.append(_lower_bound_report(
-            tid, _synthesized(name, cap + 1), budget, "lower bound via ",
+            tid, _synthesized(name, cap + 1), "lower bound via ",
             predicate(target, cap + 1), claims_ge2=False))
     out.append(_lower_bound_report(
-        tid, _synthesized(control, 2), budget, "lower bound via ",
+        tid, _synthesized(control, 2), "lower bound via ",
         predicate(catalog_ring(control), 2), claims_ge2=False))
     return out
 
@@ -548,14 +539,14 @@ def _verify_genus_ge2(budget: int) -> list[ClassificationReport]:
         if 2 * target.order > MAX_ORDER:
             continue  # its pair at size 2 exceeds the supported ring order
         out.append(_lower_bound_report(
-            tid, _synthesized(entry.name, 2), budget, "lower bound via "))
+            tid, _synthesized(entry.name, 2), "lower bound via "))
     for pf in _pair_sweep().values():
         if pf.quotient_graph.n == 0:
             continue
         if not genus_ge2_predicate(pf.quotient_table):
             continue
         out.append(_lower_bound_report(
-            tid, pf.inst, budget, "catalog pair; lower bound via "))
+            tid, pf.inst, "catalog pair; lower bound via "))
     return out
 
 
@@ -676,7 +667,7 @@ def _verify_expansion_ge2_big_residue(budget: int) -> list[ClassificationReport]
         doubled = _Instance(lr.inst.ring, "-", 0, "-",
                             expand(lr.inst.graph, 2))
         out.append(_lower_bound_report(
-            tid, doubled, budget, "doubled graph lower bound via "))
+            tid, doubled, "doubled graph lower bound via "))
     return out
 
 
@@ -741,7 +732,7 @@ def _verify_triple_product_genus(budget: int) -> list[ClassificationReport]:
         doubled = _Instance(table.name, "-", 0, "-",
                             expand(zero_divisor_graph(table), 2))
         out.append(_lower_bound_report(
-            tid, doubled, budget, "doubled graph lower bound via ", False,
+            tid, doubled, "doubled graph lower bound via ", False,
             claims_ge2=False))
     return out
 
@@ -826,7 +817,7 @@ def _verify_quotient_genus2_lift(budget: int) -> list[ClassificationReport]:
         inst = _Instance(table.name, "0×Z_2", 2, _catalog_identity(target),
                          ideal_zero_divisor_graph(table, ideal))
         out.append(_lower_bound_report(
-            tid, inst, budget,
+            tid, inst,
             f"quotient graph lower bound {qlo}; lifted lower bound via "))
     return out
 
@@ -844,7 +835,7 @@ def _verify_genus_one_residue2_lift(budget: int) -> list[ClassificationReport]:
         if (bq.lower, bq.upper) != (1, 1):
             continue
         out.append(_lower_bound_report(
-            tid, _synthesized(lr.inst.ring, 2), budget,
+            tid, _synthesized(lr.inst.ring, 2),
             "quotient graph has genus exactly 1; lifted lower bound via "))
     return out
 
@@ -880,7 +871,7 @@ def _verify_genus_one_examples(budget: int) -> list[ClassificationReport]:
 
 def _verify_genus_two_examples(budget: int) -> list[ClassificationReport]:
     return [_lower_bound_report(TheoremId.GENUS_TWO_EXAMPLES,
-                                _synthesized(name, 2), budget,
+                                _synthesized(name, 2),
                                 "lower bound via ")
             for name in _GENUS_TWO_TARGETS]
 

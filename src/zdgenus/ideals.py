@@ -66,16 +66,6 @@ class IdealSet:
             return "(1)"
         return "(" + ", ".join(self.generator_labels()) + ")"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IdealSet)
-            and self.ring is other.ring
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.mask))
-
     def __repr__(self):
         return f"IdealSet({self.ring.name}, size={self.size})"
 

@@ -9,6 +9,8 @@ from zdgenus import (
     TheoremId,
     attached_k4_graph,
     catalog_ring,
+    complete_bipartite,
+    complete_graph,
     genus_ge2_predicate,
     genus_one_clique3_predicate,
     genus_one_clique_le2_predicate,
@@ -175,6 +177,31 @@ def test_report_lower_bound_is_the_closed_form_bound():
     r, = (r for r in reports if (r.ring, r.ideal) == ("Z_8×Z_4", "0×Z_4"))
     assert r.genus_lower == 3
     assert r.detail.endswith("subgraph K_{4,8}")
+
+
+@pytest.mark.parametrize("claims_ge2", [True, False])
+def test_report_below_two_is_open_without_a_search(monkeypatch, claims_ge2):
+    """A closed-form bound below 2 decides neither claim, and no search
+    stands behind it; at 2 or more the report is decided as before."""
+    def no_search(*args):
+        pytest.fail("_lower_bound_report ran exact_genus")
+
+    monkeypatch.setattr(classify, "exact_genus", no_search)
+
+    def report(g):
+        inst = classify._Instance("R", "I", 2, "R/I", g)
+        return classify._lower_bound_report(
+            TheoremId.GENUS_GE2, inst, "lower bound via ",
+            claims_ge2=claims_ge2)
+
+    for g in (complete_graph(5), complete_bipartite(3, 3)):
+        r = report(g)
+        assert (r.inconclusive, r.agreement, r.genus_lower) == (True, False, 1)
+        assert r.detail.endswith("euler bound 1")
+    r = report(complete_graph(8))
+    assert (r.inconclusive, r.agreement, r.genus_lower) == (
+        False, claims_ge2, 2)
+    assert r.detail.endswith("euler bound 2")
 
 
 def test_attachment_failure_reports_the_synthesized_graph(monkeypatch):

@@ -187,10 +187,11 @@ def test_cli_import_registers_the_traced_modules():
 
 # Every name that zdgenus exported before genus and classify became lazy,
 # by defining module, less canonical_certificate and graph_iso, which went
-# with the canonical-form layer when nothing called it any more, plus
+# with the canonical-form layer when nothing called it any more, and
+# catalog, which nothing called and whose name hid the submodule, plus
 # LowerBound, the record the lower-bound functions return.
 PACKAGE_EXPORTS = {
-    "catalog": ("catalog", "catalog_entries", "catalog_ring", "find_catalog"),
+    "catalog": ("catalog_entries", "catalog_ring", "find_catalog"),
     "classify": (
         "ClassificationReport", "TheoremId", "attached_k4_graph",
         "genus_ge2_predicate", "genus_one_clique3_predicate",
@@ -236,9 +237,15 @@ def test_package_exports_keep_their_objects(module):
     assert [n for n in names if n not in dir(zdgenus)] == []
 
 
-def test_package_catalog_is_the_function():
-    """`from .catalog import catalog` shadows the submodule of that name."""
+@pytest.mark.parametrize("name", [
+    "errors", "rings", "ideals", "catalog", "graphs", "genus", "classify",
+    "cli"])
+def test_package_attribute_is_the_submodule(name):
+    """No exported name shadows a submodule, so `import zdgenus.<name> as
+    m` binds the module itself."""
+    import importlib
+
     import zdgenus
 
-    assert zdgenus.catalog is sys.modules["zdgenus.catalog"].catalog
-    assert callable(zdgenus.catalog)
+    importlib.import_module(f"zdgenus.{name}")
+    assert getattr(zdgenus, name) is sys.modules[f"zdgenus.{name}"]
